@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import _svg, gram, hlmass, ladder, partition, verify, zfun
 from ._util import atomic_write_text, fmt17
@@ -33,18 +33,14 @@ PLANCK_COLUMNS = ("nu", "offset", "gap")
 class RunConfig:
     checkpoint_path: str | None = None
     rel_tol: float = 1e-9
-    correction_depth: int = 4
     c0: float = 0.0
     epsilon: float = 0.01
-    output_dir: str | None = None
     format: str = "csv"
     jobs: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-3):
             raise DomainError("rel_tol must be in (0, 1e-3]")
-        if not (0 <= self.correction_depth <= 4):
-            raise DomainError("correction_depth must be in [0, 4]")
         if self.format not in ("csv", "json"):
             raise DomainError("format must be csv or json")
         if self.jobs < 1:
@@ -66,7 +62,6 @@ def _run_config(args) -> RunConfig:
         rel_tol=getattr(args, "tol", 1e-9),
         c0=getattr(args, "c0", 0.0),
         epsilon=getattr(args, "epsilon", 0.01),
-        output_dir=None,
         format=getattr(args, "format", "csv"),
         jobs=getattr(args, "jobs", 1),
     )
@@ -167,6 +162,13 @@ def _cmd_ladder(args) -> int:
     return 0
 
 
+def _mean_gap_json(records, params, k):
+    try:
+        return asdict(partition.mean_gap_stat(records, params, k))
+    except HlqError:
+        return None
+
+
 def _partition_rows(records):
     for r in records:
         if r.gap is None:
@@ -193,19 +195,8 @@ def _cmd_partition(args) -> int:
                 {"nu": r.nu, "T": r.T, "gap": r.gap, "mass": r.mass,
                  "tan_alpha": r.tan_alpha, "predicted_gap": r.predicted_gap,
                  "rel_gap_err": r.rel_gap_err} for r in records],
+            "mean_gap": _mean_gap_json(records, params, rc.constants),
         }
-        try:
-            st = partition.mean_gap_stat(records, params, rc.constants)
-            obj["mean_gap"] = {
-                "mean_gap": st.mean_gap, "predicted": st.predicted,
-                "ratio": st.ratio,
-                "predicted_asymptotic": st.predicted_asymptotic,
-                "ratio_asymptotic": st.ratio_asymptotic,
-                "n0": st.n0, "span": st.span, "u0": st.u0,
-                "anchor_t": st.anchor_t,
-            }
-        except HlqError:
-            obj["mean_gap"] = None
         _emit_json(obj, args.out)
     else:
         _emit_rows(PARTITION_COLUMNS, _partition_rows(records), args.out)
@@ -254,21 +245,21 @@ def _cmd_gram(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    rc = _run_config(args)
-    ck = _open_checkpoint(rc)
-    kind = args.kind
+def _verify_reports(kind: str, rc: RunConfig, ck: hlmass.MassCheckpoint,
+                    t: float | None = None, delta: float | None = None):
+    """Reports of one ``hlq verify`` kind and any extra top-level keys;
+    ``kind="all"`` is also the verify part of ``hlq report``."""
     reports = []
     extra = {}
     if kind in ("balasubramanian", "all"):
-        ts = [args.t] if (kind == "balasubramanian" and args.t is not None) \
+        ts = [t] if (kind == "balasubramanian" and t is not None) \
             else [1e3, 3e3, 1e4]
-        reports += [verify.balasubramanian_residual(t, cfg=rc.quad, ckpt=ck,
+        reports += [verify.balasubramanian_residual(tb, cfg=rc.quad, ckpt=ck,
                                                     k=rc.constants,
                                                     jobs=rc.jobs)
-                    for t in ts]
-    if kind == "tka" and args.delta is not None:
-        reports.append(verify.tka_residual(args.delta, cfg=rc.quad,
+                    for tb in ts]
+    if kind == "tka" and delta is not None:
+        reports.append(verify.tka_residual(delta, cfg=rc.quad,
                                            k=rc.constants, jobs=rc.jobs))
     elif kind in ("tka", "all"):
         reps, slope = verify.tka_ladder(cfg=rc.quad, k=rc.constants,
@@ -276,14 +267,20 @@ def _cmd_verify(args) -> int:
         reports += reps
         extra["tka_slope"] = slope
     if kind in ("short_interval", "all"):
-        t = args.t if (kind == "short_interval" and args.t is not None) else 1e4
+        t_si = t if (kind == "short_interval" and t is not None) else 1e4
         reports.append(verify.short_interval_check(
-            t, rc.epsilon, cfg=rc.quad, ckpt=ck, k=rc.constants, jobs=rc.jobs))
+            t_si, rc.epsilon, cfg=rc.quad, ckpt=ck, k=rc.constants, jobs=rc.jobs))
     if kind in ("ladder", "all"):
-        grid = [args.t] if (kind == "ladder" and args.t is not None) \
-            else [1e3, 1e4]
+        grid = [t] if (kind == "ladder" and t is not None) else [1e3, 1e4]
         reports += verify.ladder_checks(grid, cfg=rc.quad, ckpt=ck,
                                         k=rc.constants, jobs=rc.jobs)
+    return reports, extra
+
+
+def _cmd_verify(args) -> int:
+    rc = _run_config(args)
+    ck = _open_checkpoint(rc)
+    reports, extra = _verify_reports(args.kind, rc, ck, args.t, args.delta)
     _save_checkpoint(rc, ck)
     obj = {"reports": [r.as_dict() for r in reports]}
     obj.update(extra)
@@ -346,28 +343,10 @@ def _cmd_report(args) -> int:
         count=args.count, epsilon=rc.epsilon)
     records = partition.generate(params, cfg=rc.quad, ckpt=ck,
                                  k=rc.constants, jobs=rc.jobs)
-    reports = [verify.balasubramanian_residual(t, cfg=rc.quad, ckpt=ck,
-                                               k=rc.constants, jobs=rc.jobs)
-               for t in (1e3, 3e3, 1e4)]
-    tka_reports, slope = verify.tka_ladder(cfg=rc.quad, k=rc.constants,
-                                           jobs=rc.jobs)
-    reports += tka_reports
-    reports.append(verify.short_interval_check(
-        1e4, rc.epsilon, cfg=rc.quad, ckpt=ck, k=rc.constants, jobs=rc.jobs))
-    reports += verify.ladder_checks([1e3, 1e4], cfg=rc.quad, ckpt=ck,
-                                    k=rc.constants, jobs=rc.jobs)
+    reports, extra = _verify_reports("all", rc, ck)
     reports += verify.ladder_increment_checks(records, params.omega,
                                               params.tau, k=rc.constants)
     gram_records, _ = gram.gram_spacing_report(100, 1000, 0.0)
-    mean_gap = None
-    try:
-        st = partition.mean_gap_stat(records, params, rc.constants)
-        mean_gap = {"mean_gap": st.mean_gap, "predicted": st.predicted,
-                    "ratio": st.ratio,
-                    "predicted_asymptotic": st.predicted_asymptotic,
-                    "ratio_asymptotic": st.ratio_asymptotic, "n0": st.n0}
-    except HlqError:
-        pass
     _save_checkpoint(rc, ck)
     emit_report({
         "partition_records": records,
@@ -375,8 +354,8 @@ def _cmd_report(args) -> int:
         "constants": rc.constants,
         "gram_records": gram_records,
         "verify_reports": reports,
-        "tka_slope": slope,
-        "mean_gap": mean_gap,
+        "tka_slope": extra["tka_slope"],
+        "mean_gap": _mean_gap_json(records, params, rc.constants),
     }, args.out, rc.format)
     return 0
 

@@ -2,16 +2,21 @@
 
 Quadrature layout
 -----------------
-The axis is cut at integer boundaries into unit cells.  A cell at height t
-is split into equal panels no wider than half the local mean zero spacing
-2*pi/ln(t/2pi), and each panel gets a fixed Gauss-Legendre rule.  Since a
-panel then spans at most half an oscillation of Z^2, the rule is far inside
-its spectral-accuracy regime and the limiting error is the certified
+Every mass here -- whole cells, the partial cell of a query, an interval,
+the damped integral -- comes from one kernel, ``_span_masses``, which
+integrates Z^2 over each span of a list of edges.  Above ``zfun.T_SWITCH``
+a span is split into equal panels no wider than half the local mean zero
+spacing 2*pi/ln(t/2pi), and each panel gets a fixed Gauss-Legendre rule.
+Since a panel then spans at most half an oscillation of Z^2, the rule is far
+inside its spectral-accuracy regime and the limiting error is the certified
 envelope of the point evaluations, which is accumulated explicitly and
-checked against the requested relative tolerance.
+checked against the requested relative tolerance.  Below ``zfun.T_SWITCH``
+the integrand is evaluated through the reference route and integrated with
+fixed-step Simpson (step 1e-3).
 
-Below ``zfun.T_SWITCH`` the integrand is evaluated through the reference
-route and integrated with fixed-step Simpson (step 1e-3).
+The nodes of all spans in one call are evaluated as a single Z batch and
+each span is reduced in index order by ``np.add.reduceat``, so a span's
+value depends only on its own edges, not on the spans batched with it.
 
 Checkpoints
 -----------
@@ -44,7 +49,7 @@ from .errors import (
     PrecisionUnreachable,
 )
 
-CHECKPOINT_VERSION = "1"
+CHECKPOINT_VERSION = "2"
 SIMPSON_STEP = 1e-3
 
 # crude empirical envelope Z(t)^2 <= C * sqrt(t), calibrated on [1, 1e4]
@@ -90,7 +95,6 @@ class MassCheckpoint:
         self.z_config = dict(z_config)
         self._ts: list[float] = [0.0]
         self._is: list[float] = [0.0]
-        self._index = {0.0: 0}
         self._int_cover = 0  # all integers 0.._int_cover are present
         self._env = 0.0      # in-memory envelope accumulated this session
 
@@ -99,13 +103,16 @@ class MassCheckpoint:
         return len(self._ts)
 
     def lookup(self, t: float):
-        i = self._index.get(float(t))
-        return None if i is None else self._is[i]
+        t = float(t)
+        pos = bisect.bisect_left(self._ts, t)
+        if pos < len(self._ts) and self._ts[pos] == t:
+            return self._is[pos]
+        return None
 
     def floor_anchor(self, t: float):
         """Greatest integer row <= t (always exists up to _int_cover)."""
-        m = min(int(math.floor(t)), self._int_cover)
-        return float(m), self._is[self._index[float(m)]]
+        m = float(min(int(math.floor(t)), self._int_cover))
+        return m, self.lookup(m)
 
     def rows(self):
         return zip(self._ts, self._is)
@@ -121,40 +128,23 @@ class MassCheckpoint:
     # -- mutation -----------------------------------------------------
     def insert(self, t: float, i_val: float) -> None:
         t = float(t)
-        if t in self._index:
-            return
         pos = bisect.bisect_left(self._ts, t)
+        if pos < len(self._ts) and self._ts[pos] == t:
+            return
         prev_i = self._is[pos - 1] if pos else 0.0
         next_i = self._is[pos] if pos < len(self._is) else None
         if i_val < prev_i or (next_i is not None and i_val > next_i):
             raise FormatError("insert would break monotonicity of the grid")
         self._ts.insert(pos, t)
         self._is.insert(pos, i_val)
-        for k, v in list(self._index.items()):
-            if v >= pos:
-                self._index[k] = v + 1
-        self._index[t] = pos
         if t == float(self._int_cover + 1):
-            m = self._int_cover + 1
-            while float(m + 1) in self._index:
-                m += 1
-            self._int_cover = m
+            self._extend_cover()
 
-    def append_integer(self, m: int, i_val: float) -> None:
-        """Fast path used while extending coverage cell by cell."""
-        if m != self._int_cover + 1:
-            self.insert(float(m), i_val)
-            return
-        t = float(m)
-        if self._ts[-1] < t:
-            if i_val < self._is[-1]:
-                raise FormatError("nonmonotone extension")
-            self._ts.append(t)
-            self._is.append(i_val)
-            self._index[t] = len(self._ts) - 1
-            self._int_cover = m
-        else:
-            self.insert(t, i_val)
+    def _extend_cover(self) -> None:
+        m = self._int_cover
+        while self.lookup(m + 1) is not None:
+            m += 1
+        self._int_cover = m
 
 
 def new_checkpoint(cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -235,11 +225,7 @@ def load_checkpoint(path: str) -> MassCheckpoint:
             raise FormatError("I column must be nondecreasing")
         ck._ts = ts
         ck._is = is_
-        ck._index = {t: i for i, t in enumerate(ts)}
-        m = 0
-        while float(m + 1) in ck._index:
-            m += 1
-        ck._int_cover = m
+        ck._extend_cover()
     return ck
 
 
@@ -262,10 +248,9 @@ def _panel_width(b: float, cfg: QuadratureConfig) -> float:
 TWO_PI_E = zfun.TWO_PI * math.e
 
 
-def _interval_nodes(a: float, b: float, cfg: QuadratureConfig, n_panels: int = 0):
+def _interval_nodes(a: float, b: float, cfg: QuadratureConfig):
     """Equal-split panels of [a,b] with the GL rule; returns (nodes, weights)."""
-    if n_panels <= 0:
-        n_panels = max(1, int(math.ceil((b - a) / _panel_width(b, cfg))))
+    n_panels = max(1, int(math.ceil((b - a) / _panel_width(b, cfg))))
     edges = np.linspace(a, b, n_panels + 1)
     x, w = _gl_rule(int(cfg.nodes_per_oscillation))
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -273,26 +258,6 @@ def _interval_nodes(a: float, b: float, cfg: QuadratureConfig, n_panels: int = 0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def _integrate_nodes(nodes, weights, z_config, damp: float = 0.0):
-    """Weighted sum of Z^2 (optionally * exp(-2*damp*t)) over given nodes.
-
-    Returns (value, envelope): envelope covers the certified point errors
-    |d(f^2)| <= (2|f|+e)*e plus summation roundoff.
-    """
-    f, e = zfun.z_many(nodes, z_config)
-    fsq = f * f
-    if damp:
-        att = np.exp(-2.0 * damp * nodes)
-        contrib = weights * fsq * att
-        env_terms = np.abs(weights) * (2.0 * np.abs(f) + e) * e * att
-    else:
-        contrib = weights * fsq
-        env_terms = np.abs(weights) * (2.0 * np.abs(f) + e) * e
-    val = float(contrib.sum())
-    env = float(env_terms.sum()) + 8.0 * zfun.EPS * float(np.abs(contrib).sum())
-    return val, env
 
 
 # ---------------------------------------------------------------------------
@@ -322,62 +287,71 @@ def _simpson_reference(a: float, b: float, damp: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# cell evaluation (integer-aligned unit cells)
+# the span kernel
 # ---------------------------------------------------------------------------
 
-_CELL_BLOCK = 256
+def _span_masses(edges, cfg: QuadratureConfig, z_config: zfun.ZConfig,
+                 damp: float = 0.0):
+    """Masses of Z^2 (times exp(-2*damp*t) if ``damp``) over each span
+    [edges[i], edges[i+1]]; returns (values, envelopes) as arrays.
 
-
-def _eval_cell_block(m0: int, m1: int, cfg: QuadratureConfig,
-                     z_config: zfun.ZConfig, damp: float = 0.0):
-    """Masses of unit cells [m, m+1) for m in [m0, m1); vectorized."""
-    lo_switch = int(zfun.T_SWITCH)
-    out_vals = np.empty(m1 - m0)
-    out_envs = np.empty(m1 - m0)
-    for m in range(m0, min(m1, lo_switch)):
-        v, e = _simpson_reference(float(m), float(m + 1), damp)
-        out_vals[m - m0], out_envs[m - m0] = v, e
-    first_gl = max(m0, lo_switch)
-    if first_gl >= m1:
-        return out_vals, out_envs
-    nodes_list, weights_list, offsets = [], [], [0]
+    The part of a span below ``zfun.T_SWITCH`` goes through
+    ``_simpson_reference``; the rest gets Gauss-Legendre panels, and the
+    nodes of all spans go to Z as one batch.  Each span's terms are reduced
+    in index order by ``np.add.reduceat``, so a span's value does not depend
+    on which other spans share its batch.  The envelope covers the certified
+    point errors |d(f^2)| <= (2|f|+e)*e plus summation roundoff.
+    """
+    n = len(edges) - 1
+    vals = np.zeros(n)
+    envs = np.zeros(n)
+    nodes, weights, starts, gl_spans = [], [], [], []
     count = 0
-    for m in range(first_gl, m1):
-        n, w = _interval_nodes(float(m), float(m + 1), cfg)
-        nodes_list.append(n)
-        weights_list.append(w)
-        count += len(n)
-        offsets.append(count)
-    nodes = np.concatenate(nodes_list)
-    weights = np.concatenate(weights_list)
-    f, e = zfun.z_many(nodes, z_config)
-    fsq = f * f
+    for k in range(n):
+        a, b = float(edges[k]), float(edges[k + 1])
+        if a < zfun.T_SWITCH:
+            vals[k], envs[k] = _simpson_reference(a, min(b, zfun.T_SWITCH), damp)
+        lo = max(a, zfun.T_SWITCH)
+        if lo < b:
+            x, w = _interval_nodes(lo, b, cfg)
+            nodes.append(x)
+            weights.append(w)
+            starts.append(count)
+            gl_spans.append(k)
+            count += len(x)
+    if not gl_spans:
+        return vals, envs
+    x = np.concatenate(nodes)
+    w = np.concatenate(weights)
+    f, e = zfun.z_many(x, z_config)
+    contrib = w * (f * f)
+    env_terms = w * (2.0 * np.abs(f) + e) * e
     if damp:
-        att = np.exp(-2.0 * damp * nodes)
-        contrib = weights * fsq * att
-        env_terms = weights * (2.0 * np.abs(f) + e) * e * att
-    else:
-        contrib = weights * fsq
-        env_terms = weights * (2.0 * np.abs(f) + e) * e
-    cell_vals = np.add.reduceat(contrib, offsets[:-1])
-    cell_envs = np.add.reduceat(env_terms, offsets[:-1])
-    cell_envs += 8.0 * zfun.EPS * np.add.reduceat(np.abs(contrib), offsets[:-1])
-    out_vals[first_gl - m0 :] = cell_vals
-    out_envs[first_gl - m0 :] = cell_envs
-    return out_vals, out_envs
+        att = np.exp(-2.0 * damp * x)
+        contrib = contrib * att
+        env_terms = env_terms * att
+    vals[gl_spans] += np.add.reduceat(contrib, starts)
+    envs[gl_spans] += (np.add.reduceat(env_terms, starts)
+                       + 8.0 * zfun.EPS * np.add.reduceat(np.abs(contrib), starts))
+    return vals, envs
+
+
+_CELL_BLOCK = 256
 
 
 def _cells_masses(m0: int, m1: int, cfg: QuadratureConfig,
                   z_config: zfun.ZConfig, jobs: int = 1, damp: float = 0.0):
     """Per-cell masses for integer cells m0..m1-1, worker-count independent."""
-    blocks = [(b, min(b + _CELL_BLOCK, m1)) for b in range(m0, m1, _CELL_BLOCK)]
+    blocks = [range(b, min(b + _CELL_BLOCK, m1) + 1)
+              for b in range(m0, m1, _CELL_BLOCK)]
+
+    def block_masses(edges):
+        return _span_masses(edges, cfg, z_config, damp)
     if jobs > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(
-                ex.map(lambda ab: _eval_cell_block(ab[0], ab[1], cfg, z_config, damp), blocks)
-            )
+            results = list(ex.map(block_masses, blocks))
     else:
-        results = [_eval_cell_block(a, b, cfg, z_config, damp) for a, b in blocks]
+        results = [block_masses(edges) for edges in blocks]
     vals = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
     envs = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
     return vals, envs
@@ -386,22 +360,6 @@ def _cells_masses(m0: int, m1: int, cfg: QuadratureConfig,
 # ---------------------------------------------------------------------------
 # public integration API
 # ---------------------------------------------------------------------------
-
-def _partial_from_integer(m: float, t: float, cfg: QuadratureConfig,
-                          z_config: zfun.ZConfig):
-    """Integral over [m, t] with m = floor anchor, t - m <= 1 + cell slack."""
-    if t <= m:
-        return 0.0, 0.0
-    if t <= zfun.T_SWITCH:
-        return _simpson_reference(m, t)
-    if m < zfun.T_SWITCH:
-        v1, e1 = _simpson_reference(m, zfun.T_SWITCH)
-        n, w = _interval_nodes(zfun.T_SWITCH, t, cfg)
-        v2, e2 = _integrate_nodes(n, w, z_config)
-        return v1 + v2, e1 + e2
-    n, w = _interval_nodes(m, t, cfg)
-    return _integrate_nodes(n, w, z_config)
-
 
 def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
                   z_config: zfun.ZConfig, jobs: int) -> None:
@@ -427,7 +385,7 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     acc = ckpt.lookup(float(m0))
     for k, v in enumerate(vals):
         acc += float(v)
-        ckpt.append_integer(m0 + k + 1, acc)
+        ckpt.insert(float(m0 + k + 1), acc)
     ckpt._env += env_new
     ckpt.tol = max(ckpt.tol, cfg.rel_tol)
 
@@ -437,24 +395,26 @@ def _mass_at(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     """(I(t), partial-cell envelope) from the integer grid plus a stub."""
     _ensure_cover(ckpt, int(math.floor(t)), cfg, z_config, jobs)
     anchor_t, anchor_i = ckpt.floor_anchor(t)
-    part, part_env = _partial_from_integer(anchor_t, t, cfg, z_config)
-    return anchor_i + part, part_env
+    part, part_env = _span_masses((anchor_t, t), cfg, z_config)
+    return anchor_i + float(part[0]), float(part_env[0])
 
 
-def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-            ckpt: MassCheckpoint | None = None, jobs: int = 1,
-            z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> float:
-    """Cumulative mass I(t); extends (and reuses) the checkpoint grid."""
+def _query(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint | None,
+           jobs: int, z_config: zfun.ZConfig, record: bool) -> float:
+    """I(t) from the checkpoint grid; with ``record``, check the partial
+    cell's envelope against the budget and store t as a row."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError("hl_mass requires finite T >= 0")
+        raise DomainError("I(T) requires finite T >= 0")
     if ckpt is None:
-        ckpt = new_checkpoint(cfg)
-    check_compat(ckpt, cfg)
+        ckpt = new_checkpoint(cfg, z_config)
+    check_compat(ckpt, cfg, z_config)
     hit = ckpt.lookup(t)
     if hit is not None:
         return hit
     total, part_env = _mass_at(t, cfg, ckpt, jobs, z_config)
+    if not record:
+        return total
     ckpt._env += part_env
     budget = 0.5 * cfg.rel_tol * max(1.0, total)
     if part_env > budget:
@@ -466,6 +426,13 @@ def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return total
 
 
+def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+            ckpt: MassCheckpoint | None = None, jobs: int = 1,
+            z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> float:
+    """Cumulative mass I(t); extends (and reuses) the checkpoint grid."""
+    return _query(t, cfg, ckpt, jobs, z_config, record=True)
+
+
 def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                   ckpt: MassCheckpoint | None = None, jobs: int = 1,
                   z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> float:
@@ -475,17 +442,7 @@ def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     the integer grid plus deliberately requested heights, keeping its bytes
     independent of the search path that produced them.
     """
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError("hl_mass_probe requires finite T >= 0")
-    if ckpt is None:
-        ckpt = new_checkpoint(cfg)
-    check_compat(ckpt, cfg)
-    hit = ckpt.lookup(t)
-    if hit is not None:
-        return hit
-    total, _ = _mass_at(t, cfg, ckpt, jobs, z_config)
-    return total
+    return _query(t, cfg, ckpt, jobs, z_config, record=False)
 
 
 def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -503,7 +460,7 @@ def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     if t1 == t2:
         return 0.0
     if ckpt is not None:
-        check_compat(ckpt, cfg)
+        check_compat(ckpt, cfg, z_config)
     if _nodes_bump:
         cfg = QuadratureConfig(
             rel_tol=cfg.rel_tol,
@@ -511,30 +468,17 @@ def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
             max_panel=cfg.max_panel * 0.7,
             damped_truncation_eps=cfg.damped_truncation_eps,
         )
-    pieces = []
-    lo = t1
-    if lo < zfun.T_SWITCH:
-        hi = min(t2, zfun.T_SWITCH)
-        pieces.append(_simpson_reference(lo, hi))
-        lo = hi
-    if lo < t2:
-        # split long spans at integer boundaries to match the cell layout
-        first_int = math.ceil(lo)
-        last_int = math.floor(t2)
-        if last_int - first_int >= 2 and first_int > lo - 1:
-            if lo < first_int:
-                n, w = _interval_nodes(lo, float(first_int), cfg)
-                pieces.append(_integrate_nodes(n, w, z_config))
-            for m in range(int(first_int), int(last_int)):
-                n, w = _interval_nodes(float(m), float(m + 1), cfg)
-                pieces.append(_integrate_nodes(n, w, z_config))
-            if last_int < t2:
-                n, w = _interval_nodes(float(last_int), t2, cfg)
-                pieces.append(_integrate_nodes(n, w, z_config))
-        else:
-            n, w = _interval_nodes(lo, t2, cfg)
-            pieces.append(_integrate_nodes(n, w, z_config))
-    return pairwise_sum(v for v, _ in pieces)
+    edges = [t1]
+    if t1 < zfun.T_SWITCH < t2:
+        edges.append(zfun.T_SWITCH)
+    # spans holding at least two whole cells are split at the cell edges
+    first, last = math.ceil(max(t1, zfun.T_SWITCH)), math.floor(t2)
+    if last - first >= 2:
+        edges.extend(float(m) for m in range(first, last + 1)
+                     if edges[-1] < m < t2)
+    edges.append(t2)
+    vals, _ = _span_masses(edges, cfg, z_config)
+    return pairwise_sum(vals)
 
 
 def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -553,16 +497,9 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     pieces = [float(v) for v in vals]
     env = float(envs.sum())
     if t_max > m1:
-        if t_max <= zfun.T_SWITCH:
-            v, e = _simpson_reference(float(m1), t_max, damp=delta)
-        else:
-            n, w = _interval_nodes(float(max(m1, zfun.T_SWITCH)), t_max, cfg)
-            v, e = _integrate_nodes(n, w, z_config, damp=delta)
-            if m1 < zfun.T_SWITCH:
-                v0, e0 = _simpson_reference(float(m1), zfun.T_SWITCH, damp=delta)
-                v, e = v + v0, e + e0
-        pieces.append(v)
-        env += e
+        v, e = _span_masses((float(m1), t_max), cfg, z_config, damp=delta)
+        pieces.append(float(v[0]))
+        env += float(e[0])
     # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2)
     x = 2.0 * delta * t_max
     tail = Z2_ENVELOPE_C * float(gammaincc(1.5, x)) * math.gamma(1.5) / (2.0 * delta) ** 1.5

@@ -181,6 +181,21 @@ def test_report_bundle(tmp_path, capsys, ckpt_file):
         assert f.readline().strip() == PARTITION_HEADER
 
 
+def test_report_mean_gap_matches_partition_json(tmp_path, capsys, ckpt_file):
+    out_dir = tmp_path / "bundle"
+    args = ("--omega", "8", "--count", "20", "--checkpoint", ckpt_file)
+    code, _, _ = run_cli(capsys, "report", *args, "--out", str(out_dir))
+    assert code == 0
+    with open(out_dir / "verify.json") as f:
+        report_gap = json.load(f)["mean_gap"]
+    code, out, _ = run_cli(capsys, "partition", *args, "--format", "json")
+    assert code == 0
+    partition_gap = json.loads(out)["mean_gap"]
+    assert partition_gap is not None
+    assert set(report_gap) == set(partition_gap)
+    assert report_gap == partition_gap
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

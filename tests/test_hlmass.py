@@ -83,6 +83,42 @@ def test_extension_path_independent(quad_cfg):
     rows_a = dict(a.rows())
     for t, v in b.rows():
         assert rows_a[t] == v
+    # one cell per extension from T_SWITCH up, where a cell is a large share
+    # of the running sum: a lone cell must reduce exactly as in a block
+    c = hlmass.new_checkpoint(quad_cfg)
+    for m in range(10, 60):
+        hlmass.hl_mass(m + 0.5, cfg=quad_cfg, ckpt=c)
+    rows_b = dict(b.rows())
+    for t, v in c.rows():
+        if t == int(t):
+            assert rows_b[t] == v
+
+
+def test_z_config_reaches_the_checkpoint(monkeypatch):
+    """A non-default ZConfig is checked against, and written into, the
+    checkpoint header."""
+    cfg = hlmass.QuadratureConfig(rel_tol=1e-6)
+    zc = zfun.ZConfig(correction_depth=2)
+    t = 1500.5
+    ck = hlmass.new_checkpoint(cfg, zc)
+    v = hlmass.hl_mass(t, cfg=cfg, ckpt=ck, z_config=zc)
+    assert hlmass.hl_mass_probe(t - 0.25, cfg=cfg, ckpt=ck, z_config=zc) < v
+    assert hlmass.hl_mass_between(t - 1.0, t, cfg=cfg, ckpt=ck, z_config=zc) > 0
+    default = hlmass.new_checkpoint(cfg)
+    for query in (hlmass.hl_mass, hlmass.hl_mass_probe):
+        with pytest.raises(CheckpointConflict):
+            query(t, cfg=cfg, ckpt=default, z_config=zc)
+    with pytest.raises(CheckpointConflict):
+        hlmass.hl_mass_between(t - 1.0, t, cfg=cfg, ckpt=default, z_config=zc)
+    built = []
+    new_checkpoint = hlmass.new_checkpoint
+
+    def spy(*args, **kwargs):
+        built.append(new_checkpoint(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(hlmass, "new_checkpoint", spy)
+    assert hlmass.hl_mass(t, cfg=cfg, z_config=zc) == v
+    assert [b.z_config["correction_depth"] for b in built] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +161,10 @@ def test_checkpoint_save_bad_dir(tmp_path, quad_cfg):
 @pytest.mark.parametrize("mutate,desc", [
     (lambda L: [], "empty"),
     (lambda L: ["not json"] + L[1:], "bad header"),
-    (lambda L: [L[0].replace('"1"', '"9"')] + L[1:], "bad version"),
+    (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"9"')] + L[1:],
+     "bad version"),
+    (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"1"')] + L[1:],
+     "version 1"),
     (lambda L: [L[0]] + L[2:], "missing 0 row"),
     (lambda L: L + ["5\tnot_a_number"], "bad float"),
     (lambda L: L + [L[-1]], "duplicate T"),
