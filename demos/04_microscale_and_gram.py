@@ -26,7 +26,7 @@ def main():
     cfg = hlmass.QuadratureConfig()
 
     t0 = 10002.0
-    steps = partition.planck_sequence(t0, 50000, cfg=cfg)
+    steps = partition.planck_sequence(t0, 50000)
     gap = steps[0][1]
     span = steps[-1][0]
     print(f"Planck walk at T0 = {t0:g}: 50000 steps of {gap:.6e}")

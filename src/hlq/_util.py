@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import stat
+import uuid
 
 import numpy as np
 
 from .errors import CheckpointIOError
-
-
-def two_sum(a: float, b: float):
-    """Error-free sum: returns (s, e) with s = fl(a+b) and a+b = s+e exactly."""
-    s = a + b
-    bb = s - a
-    e = (a - bb) + (b - (s - bb))
-    return s, e
 
 
 def pairwise_sum(values) -> float:
@@ -38,12 +31,19 @@ def fmt17(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    The file keeps the mode of the file it replaces; a new file gets the
+    mode a plain ``open`` would give it (0666 less the umask).
+    """
     d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp_{uuid.uuid4().hex}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix="~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+                if os.path.exists(path):
+                    os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
                 f.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -80,15 +80,18 @@ def _save_checkpoint(rc: RunConfig, ck: hlmass.MassCheckpoint) -> None:
         hlmass.save_checkpoint(ck, rc.checkpoint_path)
 
 
-def _emit_scalars(pairs, fmt: str, out_path: str | None = None) -> None:
-    if fmt == "json":
-        text = json.dumps(dict(pairs), indent=2, sort_keys=True) + "\n"
-    else:
-        text = "".join(f"{k} = {v}\n" for k, v in pairs)
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_scalars(pairs, fmt: str, out_path: str | None = None) -> None:
+    if fmt == "json":
+        _emit_json(dict(pairs), out_path)
+    else:
+        _write("".join(f"{k} = {v}\n" for k, v in pairs), out_path)
 
 
 def _csv_cell(v) -> str:
@@ -102,19 +105,11 @@ def _csv_cell(v) -> str:
 def _emit_rows(columns, rows, out_path: str | None) -> None:
     lines = [",".join(columns)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        atomic_write_text(out_path, text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out_path)
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        atomic_write_text(out_path, text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +183,8 @@ def _cmd_partition(args) -> int:
     _save_checkpoint(rc, ck)
     if rc.format == "json":
         obj = {
-            "params": {"omega": params.omega, "tau": params.tau,
-                       "T_start": params.T_start, "count": params.count,
-                       "epsilon": params.epsilon},
-            "records": [
-                {"nu": r.nu, "T": r.T, "gap": r.gap, "mass": r.mass,
-                 "tan_alpha": r.tan_alpha, "predicted_gap": r.predicted_gap,
-                 "rel_gap_err": r.rel_gap_err} for r in records],
+            "params": asdict(params),
+            "records": [asdict(r) for r in records],
             "mean_gap": _mean_gap_json(records, params, rc.constants),
         }
         _emit_json(obj, args.out)
@@ -205,7 +195,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_planck(args) -> int:
     rc = _run_config(args)
-    steps = partition.planck_sequence(args.t, args.count, cfg=rc.quad)
+    steps = partition.planck_sequence(args.t, args.count)
     if rc.format == "json":
         _emit_json({
             "T0": float(args.t),
@@ -226,17 +216,9 @@ def _cmd_gram(args) -> int:
         nu0, nu0 + int(args.count) - 1, args.tau)
     if rc.format == "json":
         _emit_json({
-            "records": [
-                {"nu": r.nu, "t": r.t, "tau_bar": r.tau_bar,
-                 "spacing": r.spacing, "predicted": r.predicted,
-                 "predicted_asymptotic": r.predicted_asymptotic}
-                for r in records],
-            "summary": {
-                "count": summary.count, "mean_ratio": summary.mean_ratio,
-                "mean_ratio_asymptotic": summary.mean_ratio_asymptotic,
-                "min_spacing": summary.min_spacing,
-                "max_spacing": summary.max_spacing,
-            },
+            "records": [dict(asdict(r), predicted_asymptotic=r.predicted_asymptotic)
+                        for r in records],
+            "summary": asdict(summary),
         }, args.out)
     else:
         _emit_rows(GRAM_COLUMNS,

@@ -4,15 +4,17 @@ Quadrature layout
 -----------------
 Every mass here -- whole cells, the partial cell of a query, an interval,
 the damped integral -- comes from one kernel, ``_span_masses``, which
-integrates Z^2 over each span of a list of edges.  Above ``zfun.T_SWITCH``
-a span is split into equal panels no wider than half the local mean zero
-spacing 2*pi/ln(t/2pi), and each panel gets a fixed Gauss-Legendre rule.
-Since a panel then spans at most half an oscillation of Z^2, the rule is far
-inside its spectral-accuracy regime and the limiting error is the certified
-envelope of the point evaluations, which is accumulated explicitly and
-checked against the requested relative tolerance.  Below ``zfun.T_SWITCH``
-the integrand is evaluated through the reference route and integrated with
-fixed-step Simpson (step 1e-3).
+integrates Z^2 over each span of a list of edges with one fixed rule from
+t = 0 up: a span is split into equal panels no wider than 1.0 and half the
+local mean zero spacing 2*pi/ln(t/2pi), and each panel gets 16
+Gauss-Legendre nodes.  A panel then spans at most half an oscillation of
+Z^2, and Z^2 is analytic in a Bernstein ellipse around it whose size is
+limited near t = 0 by the pole of zeta at s = 1 (t = -i/2), so the rule
+converges geometrically (Trefethen, ATAP Thm 19.3).  That truncation error
+is not bounded in the code: it is empirical (16 nodes agree with the
+I(500) reference to 2e-12, 8e-16 relative; 8 nodes miss [0, 1] by 3e-8).
+The certified envelope of the point evaluations is accumulated explicitly
+and checked against the requested relative tolerance.
 
 The nodes of all spans in one call are evaluated as a single Z batch and
 each span is reduced in index order by ``np.add.reduceat``, so a span's
@@ -31,7 +33,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,8 +50,15 @@ from .errors import (
     PrecisionUnreachable,
 )
 
-CHECKPOINT_VERSION = "2"
-SIMPSON_STEP = 1e-3
+CHECKPOINT_VERSION = "3"
+
+# (Gauss-Legendre nodes per panel, widest panel): the fixed rule, and the
+# finer one the partition recheck integrates each interval with again
+_RULE = (16, 1.0)
+_RECHECK_RULE = (24, 0.7)
+
+# damped_mass integrates up to where exp(-2 delta t) reaches this weight
+_DAMPED_TRUNCATION_EPS = 1e-14
 
 # crude empirical envelope Z(t)^2 <= C * sqrt(t), calibrated on [1, 1e4]
 # (observed max 3.62); used only for damped-integral tail bounds and
@@ -61,26 +69,10 @@ Z2_ENVELOPE_C = 8.0
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
-    nodes_per_oscillation: int = 16
-    max_panel: float = 1.0
-    damped_truncation_eps: float = 1e-14
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-3):
             raise DomainError("rel_tol must be in (0, 1e-3]")
-        if not (4 <= int(self.nodes_per_oscillation) <= 64):
-            raise DomainError("nodes_per_oscillation must be in 4..64")
-        if not (0.01 <= self.max_panel <= 10.0):
-            raise DomainError("max_panel must be in [0.01, 10]")
-        if not (0.0 < self.damped_truncation_eps <= 1e-6):
-            raise DomainError("damped_truncation_eps must be in (0, 1e-6]")
-
-    def eval_config(self, z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> dict:
-        """Dict identifying every knob that affects stored values."""
-        d = z_config.as_dict()
-        d["nodes_per_panel"] = int(self.nodes_per_oscillation)
-        d["max_panel"] = float(self.max_panel)
-        return d
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -149,14 +141,14 @@ class MassCheckpoint:
 
 def new_checkpoint(cfg: QuadratureConfig = DEFAULT_CONFIG,
                    z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> MassCheckpoint:
-    return MassCheckpoint(cfg.rel_tol, cfg.eval_config(z_config))
+    return MassCheckpoint(cfg.rel_tol, z_config.as_dict())
 
 
 def check_compat(ckpt: MassCheckpoint, cfg: QuadratureConfig,
                  z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> None:
     if ckpt.version != CHECKPOINT_VERSION:
         raise CheckpointConflict(f"checkpoint version {ckpt.version!r} unsupported")
-    want = cfg.eval_config(z_config)
+    want = z_config.as_dict()
     if ckpt.z_config != want:
         raise CheckpointConflict(
             f"checkpoint evaluation config {ckpt.z_config} != requested {want}"
@@ -233,26 +225,24 @@ def load_checkpoint(path: str) -> MassCheckpoint:
 # panel machinery
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _gl_rule(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
 
-def _panel_width(b: float, cfg: QuadratureConfig) -> float:
-    # half the local mean zero spacing, judged at the right endpoint
-    dens = math.log(max(b, TWO_PI_E) / zfun.TWO_PI)
-    return min(cfg.max_panel, math.pi / max(1.0, dens))
-
-
 TWO_PI_E = zfun.TWO_PI * math.e
 
 
-def _interval_nodes(a: float, b: float, cfg: QuadratureConfig):
+def _interval_nodes(a: float, b: float, rule):
     """Equal-split panels of [a,b] with the GL rule; returns (nodes, weights)."""
-    n_panels = max(1, int(math.ceil((b - a) / _panel_width(b, cfg))))
+    n_nodes, max_panel = rule
+    # half the local mean zero spacing, judged at the right endpoint
+    dens = math.log(max(b, TWO_PI_E) / zfun.TWO_PI)
+    width = min(max_panel, math.pi / dens)
+    n_panels = max(1, int(math.ceil((b - a) / width)))
     edges = np.linspace(a, b, n_panels + 1)
-    x, w = _gl_rule(int(cfg.nodes_per_oscillation))
+    x, w = _gl_rule(n_nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -261,42 +251,15 @@ def _interval_nodes(a: float, b: float, cfg: QuadratureConfig):
 
 
 # ---------------------------------------------------------------------------
-# low region: fixed-step Simpson on the reference integrand
-# ---------------------------------------------------------------------------
-
-def _simpson_reference(a: float, b: float, damp: float = 0.0):
-    """Simpson on [a,b] subset of [0, T_SWITCH], fixed step <= 1e-3."""
-    if b <= a:
-        return 0.0, 0.0
-    n = int(math.ceil((b - a) / SIMPSON_STEP))
-    n += n % 2
-    n = max(n, 2)
-    xs = np.linspace(a, b, n + 1)
-    vals, rem, ro = zfun._zeta_em_block(xs, 50, 14)
-    f = np.abs(vals) ** 2
-    if damp:
-        f = f * np.exp(-2.0 * damp * xs)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h = (b - a) / n
-    val = float((w * f).sum() * h / 3.0)
-    point_env = float(((2.0 * np.abs(vals) + rem + ro) * (rem + ro) * w).sum() * h / 3.0)
-    trunc = (b - a) * h ** 4 / 180.0 * 50.0  # coarse |f''''| <= 50 on [0,10]
-    return val, point_env + trunc
-
-
-# ---------------------------------------------------------------------------
 # the span kernel
 # ---------------------------------------------------------------------------
 
-def _span_masses(edges, cfg: QuadratureConfig, z_config: zfun.ZConfig,
-                 damp: float = 0.0):
+def _span_masses(edges, z_config: zfun.ZConfig, damp: float = 0.0,
+                 rule=_RULE):
     """Masses of Z^2 (times exp(-2*damp*t) if ``damp``) over each span
     [edges[i], edges[i+1]]; returns (values, envelopes) as arrays.
 
-    The part of a span below ``zfun.T_SWITCH`` goes through
-    ``_simpson_reference``; the rest gets Gauss-Legendre panels, and the
+    Every nonempty span gets the Gauss-Legendre panels of ``rule`` and the
     nodes of all spans go to Z as one batch.  Each span's terms are reduced
     in index order by ``np.add.reduceat``, so a span's value does not depend
     on which other spans share its batch.  The envelope covers the certified
@@ -305,22 +268,12 @@ def _span_masses(edges, cfg: QuadratureConfig, z_config: zfun.ZConfig,
     n = len(edges) - 1
     vals = np.zeros(n)
     envs = np.zeros(n)
-    nodes, weights, starts, gl_spans = [], [], [], []
-    count = 0
-    for k in range(n):
-        a, b = float(edges[k]), float(edges[k + 1])
-        if a < zfun.T_SWITCH:
-            vals[k], envs[k] = _simpson_reference(a, min(b, zfun.T_SWITCH), damp)
-        lo = max(a, zfun.T_SWITCH)
-        if lo < b:
-            x, w = _interval_nodes(lo, b, cfg)
-            nodes.append(x)
-            weights.append(w)
-            starts.append(count)
-            gl_spans.append(k)
-            count += len(x)
-    if not gl_spans:
+    spans = [k for k in range(n) if edges[k] < edges[k + 1]]
+    if not spans:
         return vals, envs
+    nodes, weights = zip(*(_interval_nodes(float(edges[k]), float(edges[k + 1]), rule)
+                           for k in spans))
+    starts = np.cumsum([0] + [len(x) for x in nodes[:-1]])
     x = np.concatenate(nodes)
     w = np.concatenate(weights)
     f, e = zfun.z_many(x, z_config)
@@ -330,23 +283,23 @@ def _span_masses(edges, cfg: QuadratureConfig, z_config: zfun.ZConfig,
         att = np.exp(-2.0 * damp * x)
         contrib = contrib * att
         env_terms = env_terms * att
-    vals[gl_spans] += np.add.reduceat(contrib, starts)
-    envs[gl_spans] += (np.add.reduceat(env_terms, starts)
-                       + 8.0 * zfun.EPS * np.add.reduceat(np.abs(contrib), starts))
+    vals[spans] = np.add.reduceat(contrib, starts)
+    envs[spans] = (np.add.reduceat(env_terms, starts)
+                   + 8.0 * zfun.EPS * np.add.reduceat(np.abs(contrib), starts))
     return vals, envs
 
 
 _CELL_BLOCK = 256
 
 
-def _cells_masses(m0: int, m1: int, cfg: QuadratureConfig,
-                  z_config: zfun.ZConfig, jobs: int = 1, damp: float = 0.0):
+def _cells_masses(m0: int, m1: int, z_config: zfun.ZConfig, jobs: int = 1,
+                  damp: float = 0.0):
     """Per-cell masses for integer cells m0..m1-1, worker-count independent."""
     blocks = [range(b, min(b + _CELL_BLOCK, m1) + 1)
               for b in range(m0, m1, _CELL_BLOCK)]
 
     def block_masses(edges):
-        return _span_masses(edges, cfg, z_config, damp)
+        return _span_masses(edges, z_config, damp)
     if jobs > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(block_masses, blocks))
@@ -373,7 +326,7 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     if target_m <= ckpt.int_cover:
         return
     m0 = ckpt.int_cover
-    vals, envs = _cells_masses(m0, target_m, cfg, z_config, jobs=jobs)
+    vals, envs = _cells_masses(m0, target_m, z_config, jobs=jobs)
     env_new = float(envs.sum())
     end_val = ckpt.lookup(float(m0)) + float(vals.sum())
     budget = 0.5 * cfg.rel_tol * max(1.0, end_val)
@@ -395,7 +348,7 @@ def _mass_at(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     """(I(t), partial-cell envelope) from the integer grid plus a stub."""
     _ensure_cover(ckpt, int(math.floor(t)), cfg, z_config, jobs)
     anchor_t, anchor_i = ckpt.floor_anchor(t)
-    part, part_env = _span_masses((anchor_t, t), cfg, z_config)
+    part, part_env = _span_masses((anchor_t, t), z_config)
     return anchor_i + float(part[0]), float(part_env[0])
 
 
@@ -448,11 +401,11 @@ def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
 def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     ckpt: MassCheckpoint | None = None,
                     z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG,
-                    _nodes_bump: int = 0) -> float:
+                    _recheck: bool = False) -> float:
     """Mass of [t1, t2] by direct panel quadrature (no large-value subtraction).
 
-    ``_nodes_bump`` raises the per-panel rule order; the partition recheck
-    pass uses it to re-integrate with a different discretization.
+    ``_recheck`` selects the finer rule the partition recheck pass uses to
+    re-integrate with a different discretization.
     """
     t1, t2 = float(t1), float(t2)
     if not (0.0 <= t1 <= t2 and math.isfinite(t2)):
@@ -461,23 +414,14 @@ def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
         return 0.0
     if ckpt is not None:
         check_compat(ckpt, cfg, z_config)
-    if _nodes_bump:
-        cfg = QuadratureConfig(
-            rel_tol=cfg.rel_tol,
-            nodes_per_oscillation=min(64, cfg.nodes_per_oscillation + _nodes_bump),
-            max_panel=cfg.max_panel * 0.7,
-            damped_truncation_eps=cfg.damped_truncation_eps,
-        )
     edges = [t1]
-    if t1 < zfun.T_SWITCH < t2:
-        edges.append(zfun.T_SWITCH)
     # spans holding at least two whole cells are split at the cell edges
-    first, last = math.ceil(max(t1, zfun.T_SWITCH)), math.floor(t2)
+    first, last = math.ceil(t1), math.floor(t2)
     if last - first >= 2:
-        edges.extend(float(m) for m in range(first, last + 1)
-                     if edges[-1] < m < t2)
+        edges.extend(float(m) for m in range(first, last + 1) if t1 < m < t2)
     edges.append(t2)
-    vals, _ = _span_masses(edges, cfg, z_config)
+    vals, _ = _span_masses(edges, z_config,
+                           rule=_RECHECK_RULE if _recheck else _RULE)
     return pairwise_sum(vals)
 
 
@@ -485,19 +429,19 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                 z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG,
                 jobs: int = 1) -> float:
     """int_0^inf Z(t)^2 exp(-2 delta t) dt, truncated where the integrand
-    weight reaches ``cfg.damped_truncation_eps``; the dropped tail is covered
+    weight reaches ``_DAMPED_TRUNCATION_EPS``; the dropped tail is covered
     by the analytic bound from ``Z2_ENVELOPE_C`` and must fit the tolerance.
     """
     delta = float(delta)
     if not (0.0 < delta <= 1.0):
         raise DomainError("damped_mass requires 0 < delta <= 1")
-    t_max = math.log(1.0 / cfg.damped_truncation_eps) / (2.0 * delta)
+    t_max = math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * delta)
     m1 = int(math.floor(t_max))
-    vals, envs = _cells_masses(0, m1, cfg, z_config, jobs=jobs, damp=delta)
+    vals, envs = _cells_masses(0, m1, z_config, jobs=jobs, damp=delta)
     pieces = [float(v) for v in vals]
     env = float(envs.sum())
     if t_max > m1:
-        v, e = _span_masses((float(m1), t_max), cfg, z_config, damp=delta)
+        v, e = _span_masses((float(m1), t_max), z_config, damp=delta)
         pieces.append(float(v[0]))
         env += float(e[0])
     # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2)

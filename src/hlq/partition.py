@@ -26,7 +26,6 @@ from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, LadderPoint, 
 
 PLANCK_H = 6.6e-27
 _LATTICE_RTOL = 1e-9
-_RECHECK_BUMP = 8  # recheck pass: +8 nodes per panel, narrower panels
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ def _advance(T_prev: float, target: float, omega: float,
 def seed_point(params: PartitionParams,
                cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
                ckpt: hlmass.MassCheckpoint | None = None,
-               k: LadderConstants = DEFAULT_CONSTANTS,
                jobs: int = 1):
     """(nu0, T) anchoring the sequence: first lattice point at or above T_start."""
     if ckpt is None:
@@ -151,7 +149,7 @@ def generate(params: PartitionParams,
     """
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
-    nu0, t0 = seed_point(params, cfg, ckpt, k, jobs=jobs)
+    nu0, t0 = seed_point(params, cfg, ckpt, jobs=jobs)
     points = [t0]
     for i in range(1, params.count + 1):
         target = params.omega * (nu0 + i) + params.tau
@@ -162,7 +160,7 @@ def generate(params: PartitionParams,
 
     def recheck(i):
         return hlmass.hl_mass_between(points[i], points[i + 1], cfg=cfg,
-                                      ckpt=ckpt, _nodes_bump=_RECHECK_BUMP)
+                                      ckpt=ckpt, _recheck=True)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             masses = list(ex.map(recheck, range(params.count)))
@@ -239,8 +237,7 @@ def mean_gap_stat(records: list[PartitionRecord], params: PartitionParams,
     )
 
 
-def planck_sequence(T0: float, count: int,
-                    cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG):
+def planck_sequence(T0: float, count: int):
     """Micro-interval walk with omega = 6.6e-27/pi in a local frame.
 
     Returns count (offset, gap) pairs with T_nu = T0 + offset; offsets are

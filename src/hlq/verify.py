@@ -9,7 +9,7 @@ not to hard-fail on a constant choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import hlmass, zfun
 from .errors import DomainError
@@ -37,14 +37,7 @@ class ResidualReport:
     bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "inputs": dict(self.inputs),
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "residual": self.residual,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
     @property
     def within_bound(self) -> bool:

@@ -4,12 +4,12 @@ Three evaluation routes, each with a certified absolute-error envelope:
 
 * ``theta``: asymptotic expansion with three correction terms for
   t >= ``T_SWITCH``; the exact log-Gamma form below.
-* ``zeta_reference``: Euler-Maclaurin evaluation of zeta(1/2 + it) with the
-  classical remainder bound.  Slow but valid at any height here considered;
-  this is the independent oracle the fast path is checked against.
-* ``z_eval``: Riemann-Siegel main sum plus up to four correction terms.
-  Used when its envelope meets the requested target, otherwise the call
-  falls back to the reference route.
+* the reference route: Euler-Maclaurin evaluation of zeta(1/2 + it) with
+  the classical remainder bound, rotated onto Z.  Slow but valid at any
+  height here considered; ``z_many`` uses it below ``ZConfig.rs_min_t``.
+* the Riemann-Siegel route: main sum plus up to four correction terms.
+  ``z_eval`` uses it from ``T_SWITCH`` up when its envelope meets the
+  requested target, otherwise it falls back to the reference route.
 
 Envelope constants are conservative: the depth-4 truncation constant 0.05
 was frozen at 4x the worst observed error over a dense scan against an
@@ -51,31 +51,19 @@ class ZConfig:
     """Identifies the Z evaluation policy baked into a checkpoint."""
 
     correction_depth: int = 4
-    t_switch: float = T_SWITCH
     rs_min_t: float = RS_MIN_T
 
     def __post_init__(self):
         if not (0 <= self.correction_depth <= 4):
             raise DomainError("correction_depth must be in 0..4")
-        if self.t_switch < TWO_PI:
-            raise DomainError("t_switch below the first main-sum term")
-        if self.rs_min_t < self.t_switch:
-            raise DomainError("rs_min_t must be >= t_switch")
+        if self.rs_min_t < T_SWITCH:
+            raise DomainError("rs_min_t must be >= T_SWITCH")
 
     def as_dict(self) -> dict:
         return {
             "correction_depth": self.correction_depth,
-            "t_switch": self.t_switch,
             "rs_min_t": self.rs_min_t,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ZConfig":
-        return ZConfig(
-            correction_depth=int(d["correction_depth"]),
-            t_switch=float(d["t_switch"]),
-            rs_min_t=float(d["rs_min_t"]),
-        )
 
 
 DEFAULT_Z_CONFIG = ZConfig()
@@ -206,25 +194,9 @@ def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     return val, rem_bound, ro
 
 
-def zeta_reference(t: float):
-    """zeta(1/2 + it) by Euler-Maclaurin; returns a complex value.
-
-    The remainder bound of the chosen truncation is <= 1e-10 for t <= 1e4
-    (and is recomputed, not assumed: see ``zeta_reference_bound``).
-    """
-    val, bound = _zeta_reference_with_bound(t)
-    return val
-
-
-def zeta_reference_bound(t: float) -> float:
-    """Certified absolute error envelope of ``zeta_reference`` at t."""
-    return _zeta_reference_with_bound(t)[1]
-
-
 def _zeta_reference_with_bound(t: float):
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise DomainError("zeta_reference requires finite t >= 0")
+    """zeta(1/2 + it) by Euler-Maclaurin and its certified envelope; the
+    term count is doubled once when its remainder bound exceeds 1e-10."""
     n, m = _em_params(t)
     arr = np.array([t])
     val, rem, ro = _zeta_em_block(arr, n, m)
@@ -345,7 +317,7 @@ def z_eval(t: float, target_abs_err: float = 1e-9,
     """Z(t) with a certified absolute error at most ``target_abs_err``.
 
     Picks the Riemann-Siegel route when its envelope meets the target
-    (never below ``z_config.t_switch``), otherwise the reference route;
+    (never below ``T_SWITCH``), otherwise the reference route;
     raises ``PrecisionUnreachable`` when neither certifies the target.
     """
     t = float(t)
@@ -353,7 +325,7 @@ def z_eval(t: float, target_abs_err: float = 1e-9,
         raise DomainError("z_eval requires finite t >= 0")
     if not (target_abs_err >= _MIN_TARGET):
         raise DomainError("target_abs_err must be >= 1e-12")
-    if t >= z_config.t_switch:
+    if t >= T_SWITCH:
         rs_env = float(
             rs_truncation_env(t, z_config.correction_depth) + rs_roundoff_env(t)
         )

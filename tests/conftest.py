@@ -32,6 +32,8 @@ ORACLE = {
     "g0_pi2": 20.65404496936791945292,
     "g100": 238.5825905145029233256,
     "damped_0.05": 13.4949042695493221,
+    "I_1": 1.242922861601145795379,
+    "I_10": 9.9827346379189925314,
     "I_100": 295.63509905471913,
     "I_200": 736.832710561467886,
     "I_500": 2276.42106804338237,

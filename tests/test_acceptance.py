@@ -183,7 +183,7 @@ def test_criterion_10_damped_second_moment(capsys, actx):
 def test_criterion_11_planck_walk(capsys, actx):
     t0_anchor = 10002.0  # nearest anchor to 1e4 with |Z| >= 0.5
     t0 = time.perf_counter()
-    steps = partition.planck_sequence(t0_anchor, 100000, cfg=actx.cfg)
+    steps = partition.planck_sequence(t0_anchor, 100000)
     elapsed = time.perf_counter() - t0
     z2 = zfun.z_eval(t0_anchor, target_abs_err=1e-9).z ** 2
     worst = max(abs(g * z2 * math.pi - partition.PLANCK_H) for _, g in steps)

@@ -131,6 +131,24 @@ def test_gram_csv(capsys):
     assert abs(float(lines[1].split(",")[1]) - 17.845599540410861) < 1e-8
 
 
+def test_out_file_mode_as_plain_open(tmp_path, capsys):
+    """--out gives a new file the mode open() would, and keeps an old one's."""
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("x\n")
+    old.chmod(0o664)
+    umask = os.umask(0o022)
+    try:
+        for path in (new, old):
+            code, _, _ = run_cli(capsys, "gram", "--count", "3", "--out", str(path))
+            assert code == 0
+    finally:
+        os.umask(umask)
+    assert new.stat().st_mode & 0o777 == 0o644
+    assert old.stat().st_mode & 0o777 == 0o664
+    assert old.read_text().startswith(GRAM_HEADER)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
+
+
 def test_planck_csv(capsys):
     code, out, _ = run_cli(capsys, "planck", "--t", "10002", "--count", "4")
     assert code == 0

@@ -150,8 +150,8 @@ def test_mean_gap_insufficient_span(quad_cfg, shared_ckpt):
 # Planck micro-walk
 # ---------------------------------------------------------------------------
 
-def test_planck_sequence_exact_quanta(quad_cfg):
-    steps = partition.planck_sequence(10002.0, 2000, cfg=quad_cfg)
+def test_planck_sequence_exact_quanta():
+    steps = partition.planck_sequence(10002.0, 2000)
     assert len(steps) == 2000
     assert steps[0][0] == 0.0
     offs = [o for o, _ in steps]
@@ -164,15 +164,15 @@ def test_planck_sequence_exact_quanta(quad_cfg):
     assert steps[0][1] < 1e-26
 
 
-def test_planck_domain(quad_cfg):
+def test_planck_domain():
     with pytest.raises(DomainError):
-        partition.planck_sequence(500.0, 10, cfg=quad_cfg)
+        partition.planck_sequence(500.0, 10)
     with pytest.raises(DomainError):
-        partition.planck_sequence(2e5, 10, cfg=quad_cfg)
+        partition.planck_sequence(2e5, 10)
     with pytest.raises(DomainError):
-        partition.planck_sequence(10002.0, 0, cfg=quad_cfg)
+        partition.planck_sequence(10002.0, 0)
     with pytest.raises(DomainError):
-        partition.planck_sequence(10002.0, 2 * 10 ** 6, cfg=quad_cfg)
+        partition.planck_sequence(10002.0, 2 * 10 ** 6)
     # anchor must not sit too close to a zero of Z
     with pytest.raises(DomainError):
-        partition.planck_sequence(10000.0, 10, cfg=quad_cfg)
+        partition.planck_sequence(10000.0, 10)
