@@ -79,16 +79,22 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 class MassCheckpoint:
-    """In-memory cumulative grid; see module docstring for the file format."""
+    """In-memory cumulative grid under one Z policy, ``z_policy``, which every
+    extension uses; see module docstring for the file format."""
 
-    def __init__(self, tol: float, z_config: dict):
+    def __init__(self, tol: float, z_policy: zfun.ZConfig):
         self.version = CHECKPOINT_VERSION
         self.tol = float(tol)
-        self.z_config = dict(z_config)
+        self.z_policy = z_policy
         self._ts: list[float] = [0.0]
         self._is: list[float] = [0.0]
         self._int_cover = 0  # all integers 0.._int_cover are present
         self._env = 0.0      # in-memory envelope accumulated this session
+
+    @property
+    def z_config(self) -> dict:
+        """The policy as written in the header."""
+        return self.z_policy.as_dict()
 
     # -- queries ------------------------------------------------------
     def __len__(self) -> int:
@@ -141,18 +147,12 @@ class MassCheckpoint:
 
 def new_checkpoint(cfg: QuadratureConfig = DEFAULT_CONFIG,
                    z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> MassCheckpoint:
-    return MassCheckpoint(cfg.rel_tol, z_config.as_dict())
+    return MassCheckpoint(cfg.rel_tol, z_config)
 
 
-def check_compat(ckpt: MassCheckpoint, cfg: QuadratureConfig,
-                 z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> None:
-    if ckpt.version != CHECKPOINT_VERSION:
-        raise CheckpointConflict(f"checkpoint version {ckpt.version!r} unsupported")
-    want = z_config.as_dict()
-    if ckpt.z_config != want:
-        raise CheckpointConflict(
-            f"checkpoint evaluation config {ckpt.z_config} != requested {want}"
-        )
+def check_compat(ckpt: MassCheckpoint, cfg: QuadratureConfig) -> None:
+    """Only the tolerance can conflict: the file's version and Z policy are
+    checked by ``load_checkpoint``, and queries use the checkpoint's policy."""
     if ckpt.tol > cfg.rel_tol:
         raise CheckpointConflict(
             f"checkpoint tol {ckpt.tol:g} is coarser than requested {cfg.rel_tol:g}"
@@ -186,12 +186,14 @@ def load_checkpoint(path: str) -> MassCheckpoint:
         raise FormatError("checkpoint header missing version/tol/z_config")
     if header["version"] != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {header['version']!r}")
+    zc = header["z_config"]
+    if not isinstance(zc, dict) or set(zc) != set(zfun.DEFAULT_Z_CONFIG.as_dict()):
+        raise FormatError(f"checkpoint z_config {zc!r} does not name the Z policy")
     try:
-        tol = float(header["tol"])
-        zc = dict(header["z_config"])
+        tol = QuadratureConfig(float(header["tol"])).rel_tol
+        ck = MassCheckpoint(tol, zfun.ZConfig(**zc))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
-    ck = MassCheckpoint(tol, zc)
     ts, is_ = [], []
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln:
@@ -254,7 +256,7 @@ def _interval_nodes(a: float, b: float, rule):
 # the span kernel
 # ---------------------------------------------------------------------------
 
-def _span_masses(edges, z_config: zfun.ZConfig, damp: float = 0.0,
+def _span_masses(edges, z_policy: zfun.ZConfig, damp: float = 0.0,
                  rule=_RULE):
     """Masses of Z^2 (times exp(-2*damp*t) if ``damp``) over each span
     [edges[i], edges[i+1]]; returns (values, envelopes) as arrays.
@@ -276,7 +278,7 @@ def _span_masses(edges, z_config: zfun.ZConfig, damp: float = 0.0,
     starts = np.cumsum([0] + [len(x) for x in nodes[:-1]])
     x = np.concatenate(nodes)
     w = np.concatenate(weights)
-    f, e = zfun.z_many(x, z_config)
+    f, e = zfun.z_many(x, z_policy)
     contrib = w * (f * f)
     env_terms = w * (2.0 * np.abs(f) + e) * e
     if damp:
@@ -292,14 +294,14 @@ def _span_masses(edges, z_config: zfun.ZConfig, damp: float = 0.0,
 _CELL_BLOCK = 256
 
 
-def _cells_masses(m0: int, m1: int, z_config: zfun.ZConfig, jobs: int = 1,
+def _cells_masses(m0: int, m1: int, z_policy: zfun.ZConfig, jobs: int = 1,
                   damp: float = 0.0):
     """Per-cell masses for integer cells m0..m1-1, worker-count independent."""
     blocks = [range(b, min(b + _CELL_BLOCK, m1) + 1)
               for b in range(m0, m1, _CELL_BLOCK)]
 
     def block_masses(edges):
-        return _span_masses(edges, z_config, damp)
+        return _span_masses(edges, z_policy, damp)
     if jobs > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(block_masses, blocks))
@@ -314,8 +316,17 @@ def _cells_masses(m0: int, m1: int, z_config: zfun.ZConfig, jobs: int = 1,
 # public integration API
 # ---------------------------------------------------------------------------
 
+def _check_budget(env: float, value: float, cfg: QuadratureConfig, where: str):
+    """The one budget rule: an envelope must fit 0.5*rel_tol*max(1, |value|)."""
+    budget = 0.5 * cfg.rel_tol * max(1.0, abs(value))
+    if env > budget:
+        raise PrecisionUnreachable(
+            f"certified envelope {env:.3g} exceeds budget {budget:.3g} {where}"
+        )
+
+
 def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
-                  z_config: zfun.ZConfig, jobs: int) -> None:
+                  jobs: int) -> None:
     """Extend integer coverage up to target_m, enforcing the error budget.
 
     Every extension's certified envelope must fit half the relative budget
@@ -326,15 +337,10 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     if target_m <= ckpt.int_cover:
         return
     m0 = ckpt.int_cover
-    vals, envs = _cells_masses(m0, target_m, z_config, jobs=jobs)
+    vals, envs = _cells_masses(m0, target_m, ckpt.z_policy, jobs=jobs)
     env_new = float(envs.sum())
     end_val = ckpt.lookup(float(m0)) + float(vals.sum())
-    budget = 0.5 * cfg.rel_tol * max(1.0, end_val)
-    if env_new > budget:
-        raise PrecisionUnreachable(
-            f"certified envelope {env_new:.3g} exceeds budget {budget:.3g} "
-            f"extending to T={target_m}"
-        )
+    _check_budget(env_new, end_val, cfg, f"extending to T={target_m}")
     acc = ckpt.lookup(float(m0))
     for k, v in enumerate(vals):
         acc += float(v)
@@ -344,66 +350,60 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
 
 
 def _mass_at(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
-             jobs: int, z_config: zfun.ZConfig):
+             jobs: int):
     """(I(t), partial-cell envelope) from the integer grid plus a stub."""
-    _ensure_cover(ckpt, int(math.floor(t)), cfg, z_config, jobs)
+    _ensure_cover(ckpt, int(math.floor(t)), cfg, jobs)
     anchor_t, anchor_i = ckpt.floor_anchor(t)
-    part, part_env = _span_masses((anchor_t, t), z_config)
+    part, part_env = _span_masses((anchor_t, t), ckpt.z_policy)
     return anchor_i + float(part[0]), float(part_env[0])
 
 
 def _query(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint | None,
-           jobs: int, z_config: zfun.ZConfig, record: bool) -> float:
+           jobs: int, record: bool) -> float:
     """I(t) from the checkpoint grid; with ``record``, check the partial
     cell's envelope against the budget and store t as a row."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError("I(T) requires finite T >= 0")
     if ckpt is None:
-        ckpt = new_checkpoint(cfg, z_config)
-    check_compat(ckpt, cfg, z_config)
+        ckpt = new_checkpoint(cfg)
+    check_compat(ckpt, cfg)
     hit = ckpt.lookup(t)
     if hit is not None:
         return hit
-    total, part_env = _mass_at(t, cfg, ckpt, jobs, z_config)
+    total, part_env = _mass_at(t, cfg, ckpt, jobs)
     if not record:
         return total
     ckpt._env += part_env
-    budget = 0.5 * cfg.rel_tol * max(1.0, total)
-    if part_env > budget:
-        raise PrecisionUnreachable(
-            f"certified envelope {part_env:.3g} exceeds rel_tol budget "
-            f"{budget:.3g} at T={t:g}"
-        )
+    _check_budget(part_env, total, cfg, f"at T={t:g}")
     ckpt.insert(t, total)
     return total
 
 
 def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-            ckpt: MassCheckpoint | None = None, jobs: int = 1,
-            z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> float:
-    """Cumulative mass I(t); extends (and reuses) the checkpoint grid."""
-    return _query(t, cfg, ckpt, jobs, z_config, record=True)
+            ckpt: MassCheckpoint | None = None, jobs: int = 1) -> float:
+    """Cumulative mass I(t) under the checkpoint's Z policy (the default
+    one for ``ckpt=None``); extends (and reuses) the checkpoint grid."""
+    return _query(t, cfg, ckpt, jobs, record=True)
 
 
 def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                  ckpt: MassCheckpoint | None = None, jobs: int = 1,
-                  z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> float:
+                  ckpt: MassCheckpoint | None = None, jobs: int = 1) -> float:
     """I(t) without recording t itself in the grid.
 
     Root-finding probes go through here so a checkpoint only ever contains
     the integer grid plus deliberately requested heights, keeping its bytes
     independent of the search path that produced them.
     """
-    return _query(t, cfg, ckpt, jobs, z_config, record=False)
+    return _query(t, cfg, ckpt, jobs, record=False)
 
 
 def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     ckpt: MassCheckpoint | None = None,
-                    z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG,
                     _recheck: bool = False) -> float:
     """Mass of [t1, t2] by direct panel quadrature (no large-value subtraction).
 
+    Z is evaluated under the policy of ``ckpt``, the default one without it.
     ``_recheck`` selects the finer rule the partition recheck pass uses to
     re-integrate with a different discretization.
     """
@@ -412,21 +412,21 @@ def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
         raise DomainError("hl_mass_between requires 0 <= T1 <= T2")
     if t1 == t2:
         return 0.0
-    if ckpt is not None:
-        check_compat(ckpt, cfg, z_config)
+    if ckpt is None:
+        ckpt = new_checkpoint(cfg)
+    check_compat(ckpt, cfg)
     edges = [t1]
     # spans holding at least two whole cells are split at the cell edges
     first, last = math.ceil(t1), math.floor(t2)
     if last - first >= 2:
         edges.extend(float(m) for m in range(first, last + 1) if t1 < m < t2)
     edges.append(t2)
-    vals, _ = _span_masses(edges, z_config,
+    vals, _ = _span_masses(edges, ckpt.z_policy,
                            rule=_RECHECK_RULE if _recheck else _RULE)
     return pairwise_sum(vals)
 
 
 def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG,
                 jobs: int = 1) -> float:
     """int_0^inf Z(t)^2 exp(-2 delta t) dt, truncated where the integrand
     weight reaches ``_DAMPED_TRUNCATION_EPS``; the dropped tail is covered
@@ -437,11 +437,12 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise DomainError("damped_mass requires 0 < delta <= 1")
     t_max = math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * delta)
     m1 = int(math.floor(t_max))
-    vals, envs = _cells_masses(0, m1, z_config, jobs=jobs, damp=delta)
+    zc = zfun.DEFAULT_Z_CONFIG
+    vals, envs = _cells_masses(0, m1, zc, jobs=jobs, damp=delta)
     pieces = [float(v) for v in vals]
     env = float(envs.sum())
     if t_max > m1:
-        v, e = _span_masses((float(m1), t_max), z_config, damp=delta)
+        v, e = _span_masses((float(m1), t_max), zc, damp=delta)
         pieces.append(float(v[0]))
         env += float(e[0])
     # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2)
@@ -449,10 +450,7 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     tail = Z2_ENVELOPE_C * float(gammaincc(1.5, x)) * math.gamma(1.5) / (2.0 * delta) ** 1.5
     env += tail
     total = pairwise_sum(pieces)
-    if env > 10.0 * cfg.rel_tol * max(1.0, abs(total)):
-        raise PrecisionUnreachable(
-            f"damped integral envelope {env:.3g} exceeds tolerance at delta={delta:g}"
-        )
+    _check_budget(env, total, cfg, f"of the damped integral at delta={delta:g}")
     return total
 
 

@@ -16,6 +16,9 @@ from .errors import DomainError, NoConvergence
 LN_TWO_PI = zfun.LN_TWO_PI
 EULER_GAMMA = zfun.EULER_GAMMA
 
+Y_MIN = 10.0  # F_inverse's floor: F' > 0 for y > 2e^a ~ 2.60
+PHI_T_MIN = 100.0
+
 
 @dataclass(frozen=True)
 class LadderConstants:
@@ -56,22 +59,18 @@ def F_prime(y: float, k: LadderConstants = DEFAULT_CONSTANTS) -> float:
     return 0.5 * math.log(0.5 * y) - 0.5 * k.a
 
 
-def F_inverse(v: float, k: LadderConstants = DEFAULT_CONSTANTS,
-              y_min: float = 10.0) -> float:
-    """Unique y >= y_min with F(y) = v, to 1e-12 relative in F.
+def F_inverse(v: float, k: LadderConstants = DEFAULT_CONSTANTS) -> float:
+    """Unique y >= Y_MIN with F(y) = v, to 1e-12 relative in F.
 
     Newton from a log-scale seed, clamped to a maintained bracket; falls
-    back to bisection whenever a step leaves the bracket.  y_min must stay
-    inside the increasing branch (F' > 0 for y > 2e^a ~ 2.60).
+    back to bisection whenever a step leaves the bracket.
     """
     v = float(v)
-    if not (y_min >= 10.0):
-        raise DomainError("y_min must be >= 10")
-    f_min = F_of(y_min, k)
+    f_min = F_of(Y_MIN, k)
     if not (v >= f_min):
-        raise DomainError(f"F_inverse target {v:g} below F({y_min:g}) = {f_min:g}")
-    lo = y_min
-    hi = max(2.0 * y_min, 4.0)
+        raise DomainError(f"F_inverse target {v:g} below F({Y_MIN:g}) = {f_min:g}")
+    lo = Y_MIN
+    hi = 2.0 * Y_MIN
     while F_of(hi, k) < v:
         lo = hi
         hi *= 2.0
@@ -98,11 +97,11 @@ def F_inverse(v: float, k: LadderConstants = DEFAULT_CONSTANTS,
 def phi_at(T: float, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
            ckpt: hlmass.MassCheckpoint | None = None,
            k: LadderConstants = DEFAULT_CONSTANTS,
-           t_min: float = 100.0, jobs: int = 1) -> LadderPoint:
+           jobs: int = 1) -> LadderPoint:
     """Ladder point at height T: mass I(T) and its preimage under F."""
     T = float(T)
-    if not (T >= t_min):
-        raise DomainError(f"phi_at requires T >= {t_min:g}")
+    if not (T >= PHI_T_MIN):
+        raise DomainError(f"phi_at requires T >= {PHI_T_MIN:g}")
     mass = hlmass.hl_mass(T, cfg=cfg, ckpt=ckpt, jobs=jobs)
     phi = F_inverse(mass, k)
     return LadderPoint(T=T, phi=phi, mass=mass)

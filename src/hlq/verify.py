@@ -16,6 +16,7 @@ from .errors import DomainError
 from .ladder import DEFAULT_CONSTANTS, LadderConstants, chord_tan_alpha, phi_at
 
 SHORT_INTERVAL_ENV_C = 10.0
+LADDER_INCREMENT_C = 10.0  # ladder_increment_checks' envelope / omega
 
 # The damped second moment exceeds its log-leading fraction by a constant:
 # the pole of zeta at s=1 contributes pi*cos(delta) when the t-contour is
@@ -25,6 +26,7 @@ SHORT_INTERVAL_ENV_C = 10.0
 # carry it in `predicted` and expose the bare fraction via tka_leading.
 TKA_C0 = math.pi
 TKA_ENV_C = 10.0  # post-constant residual is ~1.4*delta on [0.005, 0.04]
+TKA_DELTAS = (0.04, 0.02, 0.01, 0.005)  # the delta ladder of tka_ladder
 
 
 @dataclass(frozen=True)
@@ -99,17 +101,16 @@ def tka_residual(delta: float,
     )
 
 
-def tka_ladder(deltas=(0.04, 0.02, 0.01, 0.005),
-               cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
+def tka_ladder(cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
                k: LadderConstants = DEFAULT_CONSTANTS,
                jobs: int = 1):
-    """Reports along a delta ladder plus the fitted log-log slope.
+    """Reports along the ``TKA_DELTAS`` ladder plus the fitted log-log slope.
 
     The residual after the leading term starts at first order, so the
     fitted slope of |residual| against delta should sit near 1.
     """
-    reports = [tka_residual(d, cfg=cfg, k=k, jobs=jobs) for d in deltas]
-    xs = [math.log(float(d)) for d in deltas]
+    reports = [tka_residual(d, cfg=cfg, k=k, jobs=jobs) for d in TKA_DELTAS]
+    xs = [math.log(d) for d in TKA_DELTAS]
     ys = [math.log(abs(r.residual)) for r in reports]
     n = len(xs)
     xbar = sum(xs) / n
@@ -174,13 +175,12 @@ def ladder_checks(T_grid, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
 
 
 def ladder_increment_checks(records, omega: float, tau: float = 0.0,
-                            k: LadderConstants = DEFAULT_CONSTANTS,
-                            max_factor: float = 10.0) -> list[ResidualReport]:
+                            k: LadderConstants = DEFAULT_CONSTANTS) -> list[ResidualReport]:
     """(phi_(nu+1) - phi_nu) * ln T_nu for consecutive partition points.
 
     phi comes straight from the lattice masses (omega*nu + tau, which the
     realized cumulative values match to 1e-9), so no quadrature is needed.
-    Reference envelope: max_factor * omega.
+    Reference envelope: LADDER_INCREMENT_C * omega.
     """
     from .ladder import F_inverse
     pts = [(r.nu, r.T) for r in records]
@@ -192,6 +192,6 @@ def ladder_increment_checks(records, omega: float, tau: float = 0.0,
         f2 = F_inverse(omega * nu2 + tau, k)
         out.append(_report(
             "ladder_increment", {"nu": nu1, "T": t1},
-            (f2 - f1) * math.log(t1), 0.0, max_factor * omega,
+            (f2 - f1) * math.log(t1), 0.0, LADDER_INCREMENT_C * omega,
         ))
     return out

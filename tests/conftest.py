@@ -6,12 +6,13 @@ against these rather than against the package's own output.
 
 ``shared_ckpt`` is one in-memory checkpoint reused for the whole session:
 every stored value is path-independent by design, so sharing it cannot
-couple tests — it only saves recomputation.
+couple tests — it only saves recomputation.  ``depth2_ckpt`` is the same
+under a non-default Z policy (correction depth 2) at ``depth2_cfg``.
 """
 
 import pytest
 
-from hlq import hlmass
+from hlq import hlmass, zfun
 
 ORACLE = {
     "theta_100": 87.97216523178721962548,
@@ -58,3 +59,13 @@ def quad_cfg():
 @pytest.fixture(scope="session")
 def shared_ckpt(quad_cfg):
     return hlmass.new_checkpoint(quad_cfg)
+
+
+@pytest.fixture(scope="session")
+def depth2_cfg():
+    return hlmass.QuadratureConfig(rel_tol=1e-6)
+
+
+@pytest.fixture(scope="session")
+def depth2_ckpt(depth2_cfg):
+    return hlmass.new_checkpoint(depth2_cfg, zfun.ZConfig(correction_depth=2))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hlq
-from hlq import cli
+from hlq import cli, hlmass, zfun
 
 PARTITION_HEADER = "nu,T,gap,mass,tan_alpha,predicted_gap,rel_gap_err"
 GRAM_HEADER = "nu,t,tau_bar,spacing,predicted"
@@ -66,6 +66,23 @@ def test_mass_with_checkpoint(capsys, ckpt_file):
                            "--checkpoint", ckpt_file)
     fields = dict(line.split(" = ") for line in out.strip().splitlines())
     assert fields["mass"] == first
+
+
+def test_checkpoint_keeps_its_z_policy(capsys, tmp_path):
+    """mass and partition continue a checkpoint built under another Z
+    policy, and its header keeps naming that policy."""
+    cfg = hlmass.QuadratureConfig(rel_tol=1e-6)
+    ck = hlmass.new_checkpoint(cfg, zfun.ZConfig(correction_depth=2))
+    hlmass.hl_mass(1000.0, cfg=cfg, ckpt=ck)
+    path = str(tmp_path / "depth2.ckpt")
+    hlmass.save_checkpoint(ck, path)
+    for argv in (("mass", "--t", "1001"),
+                 ("partition", "--start", "1001", "--count", "3")):
+        code, _, err = run_cli(capsys, *argv, "--tol", "1e-6",
+                               "--checkpoint", path)
+        assert code == 0, err
+        assert hlmass.load_checkpoint(path).z_config == ck.z_config
+    assert hlmass.load_checkpoint(path).lookup(1001.0) is not None
 
 
 def test_mass_env_checkpoint(capsys, tmp_path, monkeypatch):

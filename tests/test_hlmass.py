@@ -95,31 +95,27 @@ def test_extension_path_independent(quad_cfg):
             assert rows_b[t] == v
 
 
-def test_z_config_reaches_the_checkpoint(monkeypatch):
-    """A non-default ZConfig is checked against, and written into, the
-    checkpoint header."""
+def test_z_config_reaches_the_checkpoint(tmp_path):
+    """The Z policy a checkpoint was built with drives every query on it,
+    is written into its header, and survives a reload."""
     cfg = hlmass.QuadratureConfig(rel_tol=1e-6)
-    zc = zfun.ZConfig(correction_depth=2)
     t = 1500.5
-    ck = hlmass.new_checkpoint(cfg, zc)
-    v = hlmass.hl_mass(t, cfg=cfg, ckpt=ck, z_config=zc)
-    assert hlmass.hl_mass_probe(t - 0.25, cfg=cfg, ckpt=ck, z_config=zc) < v
-    assert hlmass.hl_mass_between(t - 1.0, t, cfg=cfg, ckpt=ck, z_config=zc) > 0
-    default = hlmass.new_checkpoint(cfg)
-    for query in (hlmass.hl_mass, hlmass.hl_mass_probe):
-        with pytest.raises(CheckpointConflict):
-            query(t, cfg=cfg, ckpt=default, z_config=zc)
-    with pytest.raises(CheckpointConflict):
-        hlmass.hl_mass_between(t - 1.0, t, cfg=cfg, ckpt=default, z_config=zc)
-    built = []
-    new_checkpoint = hlmass.new_checkpoint
-
-    def spy(*args, **kwargs):
-        built.append(new_checkpoint(*args, **kwargs))
-        return built[-1]
-    monkeypatch.setattr(hlmass, "new_checkpoint", spy)
-    assert hlmass.hl_mass(t, cfg=cfg, z_config=zc) == v
-    assert [b.z_config["correction_depth"] for b in built] == [2]
+    ck = hlmass.new_checkpoint(cfg, zfun.ZConfig(correction_depth=2))
+    v = hlmass.hl_mass(t, cfg=cfg, ckpt=ck)
+    # depth 2 against the default depth 4: about 1.6e-5 apart at this height
+    assert 1e-5 < abs(v - hlmass.hl_mass(t, cfg=cfg)) < 3e-5
+    assert hlmass.hl_mass_probe(t - 0.25, cfg=cfg, ckpt=ck) < v
+    assert (hlmass.hl_mass_between(t - 1.0, t, cfg=cfg, ckpt=ck)
+            != hlmass.hl_mass_between(t - 1.0, t, cfg=cfg))
+    path = tmp_path / "depth2.ckpt"
+    hlmass.save_checkpoint(ck, str(path))
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["z_config"] == {"correction_depth": 2, "rs_min_t": zfun.RS_MIN_T}
+    back = hlmass.load_checkpoint(str(path))
+    assert back.z_policy == ck.z_policy
+    for c in (ck, back):
+        hlmass.hl_mass(1600.25, cfg=cfg, ckpt=c)
+    assert list(back.rows()) == list(ck.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +157,12 @@ def test_checkpoint_save_bad_dir(tmp_path, quad_cfg):
         hlmass.save_checkpoint(ck, str(tmp_path / "no" / "dir" / "x.ckpt"))
 
 
+def _edit_header(lines, edit):
+    header = json.loads(lines[0])
+    edit(header)
+    return [json.dumps(header)] + lines[1:]
+
+
 @pytest.mark.parametrize("mutate,desc", [
     (lambda L: [], "empty"),
     (lambda L: ["not json"] + L[1:], "bad header"),
@@ -175,6 +177,19 @@ def test_checkpoint_save_bad_dir(tmp_path, quad_cfg):
     (lambda L: L + [L[-1]], "duplicate T"),
     (lambda L: L + [f"{float(len(L))}\t0.0" ], "decreasing I"),
     (lambda L: L + ["1e400\t1"], "non-finite"),
+    (lambda L: _edit_header(L, lambda h: h.update(tol=math.nan)), "tol NaN"),
+    (lambda L: _edit_header(L, lambda h: h.update(tol=0.0)), "tol 0"),
+    (lambda L: _edit_header(L, lambda h: h.update(tol=-1.0)), "tol -1"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].pop("rs_min_t")),
+     "z_config missing key"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].update(foo=1)),
+     "z_config unknown key"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].update(correction_depth=9)),
+     "correction_depth 9"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].update(correction_depth=2.0)),
+     "correction_depth 2.0"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].update(rs_min_t=math.nan)),
+     "rs_min_t NaN"),
 ])
 def test_checkpoint_format_errors(tmp_path, quad_cfg, mutate, desc):
     ck = _small_ckpt(quad_cfg)
@@ -192,9 +207,6 @@ def test_checkpoint_conflicts(tmp_path, quad_cfg):
     # stricter tolerance than the file's guarantee
     with pytest.raises(CheckpointConflict):
         hlmass.check_compat(ck, hlmass.QuadratureConfig(rel_tol=1e-10))
-    # different Z evaluation config
-    with pytest.raises(CheckpointConflict):
-        hlmass.check_compat(ck, quad_cfg, zfun.ZConfig(correction_depth=2))
     # coarser tolerance is allowed (the file's guarantee still holds)
     hlmass.check_compat(ck, hlmass.QuadratureConfig(rel_tol=1e-7))
 
@@ -271,6 +283,14 @@ def test_damped_decreases_with_delta(quad_cfg):
     v1 = hlmass.damped_mass(0.05, cfg=quad_cfg)
     v2 = hlmass.damped_mass(0.08, cfg=quad_cfg)
     assert v2 < v1
+
+
+def test_damped_budget_is_the_mass_budget():
+    # the envelope at delta = 0.04 is about 0.2 * 1e-9 relative: it fits
+    # 0.5 * rel_tol at 1e-9 but not at 1e-10
+    hlmass.damped_mass(0.04, cfg=hlmass.QuadratureConfig(rel_tol=1e-9))
+    with pytest.raises(PrecisionUnreachable):
+        hlmass.damped_mass(0.04, cfg=hlmass.QuadratureConfig(rel_tol=1e-10))
 
 
 def test_damped_domain(quad_cfg):

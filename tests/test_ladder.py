@@ -67,8 +67,6 @@ def test_f_inverse_below_branch():
     f10 = ladder.F_of(10.0)
     with pytest.raises(DomainError):
         ladder.F_inverse(f10 - 1.0)
-    with pytest.raises(DomainError):
-        ladder.F_inverse(0.0, y_min=50.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,6 +56,16 @@ def test_next_point_domain(quad_cfg, shared_ckpt):
 # generated sequences
 # ---------------------------------------------------------------------------
 
+def test_generate_on_a_non_default_z_policy(depth2_cfg, depth2_ckpt):
+    """generate continues a checkpoint built under another Z policy."""
+    params = partition.PartitionParams(T_start=1000.0, count=5)
+    records = partition.generate(params, cfg=depth2_cfg, ckpt=depth2_ckpt)
+    assert len(records) == params.count + 1
+    for r in records[:-1]:
+        assert abs(r.mass - params.omega) <= 1e-8
+    assert depth2_ckpt.z_config["correction_depth"] == 2
+
+
 def test_generate_structure(run150):
     params, records = run150
     assert len(records) == params.count + 1

@@ -113,6 +113,16 @@ def test_z_eval_domain():
         zfun.z_eval(100.0, target_abs_err=1e-16)
 
 
+@pytest.mark.parametrize("kw", [
+    {"correction_depth": 5}, {"correction_depth": 2.0},
+    {"correction_depth": True}, {"rs_min_t": 5.0}, {"rs_min_t": math.nan},
+    {"rs_min_t": math.inf}, {"rs_min_t": "700"},
+])
+def test_z_config_validation(kw):
+    with pytest.raises(DomainError):
+        zfun.ZConfig(**kw)
+
+
 # ---------------------------------------------------------------------------
 # z_many determinism
 # ---------------------------------------------------------------------------
