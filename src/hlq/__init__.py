@@ -14,8 +14,8 @@ Public surface:
 
 from . import gram, hlmass, ladder, partition, verify, zfun
 from .errors import (CheckpointConflict, CheckpointIOError, DomainError,
-                     FormatError, HlqError, InsufficientSpan, NearZeroAbort,
-                     NoConvergence, PrecisionUnreachable)
+                     FormatError, HlqError, InsufficientSpan, NoConvergence,
+                     PrecisionUnreachable)
 from .gram import GramRecord, GramSummary, gram_point, gram_spacing_report, gram_t
 from .hlmass import (MassCheckpoint, QuadratureConfig, check_compat,
                      damped_mass, hl_mass, hl_mass_between, load_checkpoint,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckpointConflict", "CheckpointIOError", "DomainError", "FormatError",
-    "HlqError", "InsufficientSpan", "NearZeroAbort", "NoConvergence",
+    "HlqError", "InsufficientSpan", "NoConvergence",
     "PrecisionUnreachable",
     "GramRecord", "GramSummary", "gram_point", "gram_spacing_report", "gram_t",
     "MassCheckpoint", "QuadratureConfig", "check_compat", "damped_mass",

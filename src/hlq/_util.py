@@ -8,7 +8,7 @@ import uuid
 
 import numpy as np
 
-from .errors import CheckpointIOError
+from .errors import CheckpointIOError, NoConvergence
 
 
 def pairwise_sum(values) -> float:
@@ -23,6 +23,29 @@ def pairwise_sum(values) -> float:
             nxt.append(vals[-1])
         vals = nxt
     return float(vals[0])
+
+
+def safeguarded_newton(f, df, lo: float, hi: float, x0: float, tol: float,
+                       maxiter: int, what: str) -> float:
+    """x in [lo, hi] with |f(x)| <= tol, for f increasing across the bracket.
+
+    Each iterate replaces the bracket end on its side of the root; a Newton
+    step that leaves the bracket, or meets df <= 0, becomes the midpoint.
+    Raises NoConvergence naming ``what`` after ``maxiter`` iterates.
+    """
+    x = x0
+    for _ in range(maxiter):
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x
+        if fx > 0.0:
+            hi = x
+        else:
+            lo = x
+        d = df(x)
+        x_new = x - fx / d if d > 0.0 else x
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    raise NoConvergence(f"{what}: {maxiter} iterations without meeting tolerance")
 
 
 def fmt17(x: float) -> str:

@@ -17,67 +17,31 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 
 from . import _svg, gram, hlmass, ladder, partition, verify, zfun
 from ._util import atomic_write_text, fmt17
 from .errors import DomainError, HlqError
 
-PARTITION_COLUMNS = ("nu", "T", "gap", "mass", "tan_alpha", "predicted_gap",
-                     "rel_gap_err")
-GRAM_COLUMNS = ("nu", "t", "tau_bar", "spacing", "predicted")
 PLANCK_COLUMNS = ("nu", "offset", "gap")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    checkpoint_path: str | None = None
-    rel_tol: float = 1e-9
-    c0: float = 0.0
-    epsilon: float = 0.01
-    format: str = "csv"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise DomainError("rel_tol must be in (0, 1e-3]")
-        if self.format not in ("csv", "json"):
-            raise DomainError("format must be csv or json")
-        if self.jobs < 1:
-            raise DomainError("jobs must be >= 1")
-
-    @property
-    def quad(self) -> hlmass.QuadratureConfig:
-        return hlmass.QuadratureConfig(rel_tol=self.rel_tol)
-
-    @property
-    def constants(self) -> ladder.LadderConstants:
-        return ladder.LadderConstants(c0=self.c0)
+def _open_checkpoint(args):
+    """(quadrature config, checkpoint) of a command that integrates Z^2:
+    the --checkpoint file when it exists, else a new checkpoint."""
+    if args.jobs < 1:
+        raise DomainError("jobs must be >= 1")
+    cfg = hlmass.QuadratureConfig(rel_tol=args.tol)
+    if args.checkpoint and os.path.exists(args.checkpoint):
+        ck = hlmass.load_checkpoint(args.checkpoint)
+        hlmass.check_compat(ck, cfg)
+        return cfg, ck
+    return cfg, hlmass.new_checkpoint(cfg)
 
 
-def _run_config(args) -> RunConfig:
-    path = getattr(args, "checkpoint", None) or os.environ.get("HLQ_CHECKPOINT")
-    return RunConfig(
-        checkpoint_path=path or None,
-        rel_tol=getattr(args, "tol", 1e-9),
-        c0=getattr(args, "c0", 0.0),
-        epsilon=getattr(args, "epsilon", 0.01),
-        format=getattr(args, "format", "csv"),
-        jobs=getattr(args, "jobs", 1),
-    )
-
-
-def _open_checkpoint(rc: RunConfig) -> hlmass.MassCheckpoint:
-    if rc.checkpoint_path and os.path.exists(rc.checkpoint_path):
-        ck = hlmass.load_checkpoint(rc.checkpoint_path)
-        hlmass.check_compat(ck, rc.quad)
-        return ck
-    return hlmass.new_checkpoint(rc.quad)
-
-
-def _save_checkpoint(rc: RunConfig, ck: hlmass.MassCheckpoint) -> None:
-    if rc.checkpoint_path:
-        hlmass.save_checkpoint(ck, rc.checkpoint_path)
+def _save_checkpoint(args, ck: hlmass.MassCheckpoint) -> None:
+    if args.checkpoint:
+        hlmass.save_checkpoint(ck, args.checkpoint)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -108,6 +72,13 @@ def _emit_rows(columns, rows, out_path: str | None) -> None:
     _write("\n".join(lines) + "\n", out_path)
 
 
+def _emit_records(record_type, records, out_path: str | None) -> None:
+    """CSV of dataclass records; the columns are the fields in order."""
+    names = [f.name for f in fields(record_type)]
+    _emit_rows(names, ([getattr(r, n) for n in names] for r in records),
+               out_path)
+
+
 def _emit_json(obj, out_path: str | None) -> None:
     _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
 
@@ -135,10 +106,9 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_mass(args) -> int:
-    rc = _run_config(args)
-    ck = _open_checkpoint(rc)
-    val = hlmass.hl_mass(args.t, cfg=rc.quad, ckpt=ck, jobs=rc.jobs)
-    _save_checkpoint(rc, ck)
+    cfg, ck = _open_checkpoint(args)
+    val = hlmass.hl_mass(args.t, cfg=cfg, ckpt=ck, jobs=args.jobs)
+    _save_checkpoint(args, ck)
     _emit_scalars(
         [("T", fmt17(float(args.t))), ("mass", fmt17(val)),
          ("rows", len(ck))], args.format, args.out)
@@ -146,11 +116,10 @@ def _cmd_mass(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    rc = _run_config(args)
-    ck = _open_checkpoint(rc)
-    p = ladder.phi_at(args.t, cfg=rc.quad, ckpt=ck, k=rc.constants,
-                      jobs=rc.jobs)
-    _save_checkpoint(rc, ck)
+    cfg, ck = _open_checkpoint(args)
+    p = ladder.phi_at(args.t, cfg=cfg, ckpt=ck,
+                      k=ladder.LadderConstants(c0=args.c0), jobs=args.jobs)
+    _save_checkpoint(args, ck)
     _emit_scalars(
         [("T", fmt17(p.T)), ("phi", fmt17(p.phi)), ("mass", fmt17(p.mass)),
          ("ratio", fmt17(p.ratio))], args.format, args.out)
@@ -164,39 +133,35 @@ def _mean_gap_json(records, params, k):
         return None
 
 
-def _partition_rows(records):
-    for r in records:
-        if r.gap is None:
-            continue
-        yield (r.nu, r.T, r.gap, r.mass, r.tan_alpha, r.predicted_gap,
-               r.rel_gap_err)
+def _intervals(records):
+    """Partition records without the bare endpoint row."""
+    return [r for r in records if r.gap is not None]
 
 
 def _cmd_partition(args) -> int:
-    rc = _run_config(args)
-    ck = _open_checkpoint(rc)
+    cfg, ck = _open_checkpoint(args)
+    k = ladder.LadderConstants(c0=args.c0)
     params = partition.PartitionParams(
         omega=args.omega, tau=args.tau, T_start=args.start,
-        count=args.count, epsilon=rc.epsilon)
-    records = partition.generate(params, cfg=rc.quad, ckpt=ck,
-                                 k=rc.constants, jobs=rc.jobs)
-    _save_checkpoint(rc, ck)
-    if rc.format == "json":
+        count=args.count, epsilon=args.epsilon)
+    records = partition.generate(params, cfg=cfg, ckpt=ck, k=k,
+                                 jobs=args.jobs)
+    _save_checkpoint(args, ck)
+    if args.format == "json":
         obj = {
             "params": asdict(params),
             "records": [asdict(r) for r in records],
-            "mean_gap": _mean_gap_json(records, params, rc.constants),
+            "mean_gap": _mean_gap_json(records, params, k),
         }
         _emit_json(obj, args.out)
     else:
-        _emit_rows(PARTITION_COLUMNS, _partition_rows(records), args.out)
+        _emit_records(partition.PartitionRecord, _intervals(records), args.out)
     return 0
 
 
 def _cmd_planck(args) -> int:
-    rc = _run_config(args)
     steps = partition.planck_sequence(args.t, args.count)
-    if rc.format == "json":
+    if args.format == "json":
         _emit_json({
             "T0": float(args.t),
             "omega": partition.PLANCK_H / math.pi,
@@ -210,76 +175,71 @@ def _cmd_planck(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    rc = _run_config(args)
     nu0 = int(args.start)
     records, summary = gram.gram_spacing_report(
         nu0, nu0 + int(args.count) - 1, args.tau)
-    if rc.format == "json":
+    if args.format == "json":
         _emit_json({
             "records": [dict(asdict(r), predicted_asymptotic=r.predicted_asymptotic)
                         for r in records],
             "summary": asdict(summary),
         }, args.out)
     else:
-        _emit_rows(GRAM_COLUMNS,
-                   ((r.nu, r.t, r.tau_bar, r.spacing, r.predicted)
-                    for r in records), args.out)
+        _emit_records(gram.GramRecord, records, args.out)
     return 0
 
 
-def _verify_reports(kind: str, rc: RunConfig, ck: hlmass.MassCheckpoint,
-                    t: float | None = None, delta: float | None = None):
+def _verify_reports(kind: str, args, cfg: hlmass.QuadratureConfig,
+                    ck: hlmass.MassCheckpoint, t: float | None = None,
+                    delta: float | None = None):
     """Reports of one ``hlq verify`` kind and any extra top-level keys;
     ``kind="all"`` is also the verify part of ``hlq report``."""
+    k = ladder.LadderConstants(c0=args.c0)
+    jobs = args.jobs
     reports = []
     extra = {}
     if kind in ("balasubramanian", "all"):
         ts = [t] if (kind == "balasubramanian" and t is not None) \
             else [1e3, 3e3, 1e4]
-        reports += [verify.balasubramanian_residual(tb, cfg=rc.quad, ckpt=ck,
-                                                    k=rc.constants,
-                                                    jobs=rc.jobs)
+        reports += [verify.balasubramanian_residual(tb, cfg=cfg, ckpt=ck,
+                                                    k=k, jobs=jobs)
                     for tb in ts]
     if kind == "tka" and delta is not None:
-        reports.append(verify.tka_residual(delta, cfg=rc.quad,
-                                           k=rc.constants, jobs=rc.jobs))
+        reports.append(verify.tka_residual(delta, cfg=cfg, k=k, jobs=jobs))
     elif kind in ("tka", "all"):
-        reps, slope = verify.tka_ladder(cfg=rc.quad, k=rc.constants,
-                                        jobs=rc.jobs)
+        reps, slope = verify.tka_ladder(cfg=cfg, k=k, jobs=jobs)
         reports += reps
         extra["tka_slope"] = slope
     if kind in ("short_interval", "all"):
         t_si = t if (kind == "short_interval" and t is not None) else 1e4
         reports.append(verify.short_interval_check(
-            t_si, rc.epsilon, cfg=rc.quad, ckpt=ck, k=rc.constants, jobs=rc.jobs))
+            t_si, args.epsilon, cfg=cfg, ckpt=ck, k=k, jobs=jobs))
     if kind in ("ladder", "all"):
         grid = [t] if (kind == "ladder" and t is not None) else [1e3, 1e4]
-        reports += verify.ladder_checks(grid, cfg=rc.quad, ckpt=ck,
-                                        k=rc.constants, jobs=rc.jobs)
+        reports += verify.ladder_checks(grid, cfg=cfg, ckpt=ck, k=k, jobs=jobs)
     return reports, extra
 
 
 def _cmd_verify(args) -> int:
-    rc = _run_config(args)
-    ck = _open_checkpoint(rc)
-    reports, extra = _verify_reports(args.kind, rc, ck, args.t, args.delta)
-    _save_checkpoint(rc, ck)
+    cfg, ck = _open_checkpoint(args)
+    reports, extra = _verify_reports(args.kind, args, cfg, ck, args.t,
+                                     args.delta)
+    _save_checkpoint(args, ck)
     obj = {"reports": [r.as_dict() for r in reports]}
     obj.update(extra)
     _emit_json(obj, args.out)
     return 0
 
 
-def emit_report(results: dict, output_dir: str, fmt: str = "csv") -> None:
+def emit_report(results: dict, output_dir: str) -> None:
     """Write the report bundle: CSV/JSON tables plus SVG plots."""
     if not results:
         raise DomainError("emit_report requires nonempty results")
     os.makedirs(output_dir, exist_ok=True)
-    records = results["partition_records"]
     params = results["partition_params"]
-    _emit_rows(PARTITION_COLUMNS, _partition_rows(records),
-               os.path.join(output_dir, "partition.csv"))
-    body = [r for r in records if r.gap is not None]
+    body = _intervals(results["partition_records"])
+    _emit_records(partition.PartitionRecord, body,
+                  os.path.join(output_dir, "partition.csv"))
     nus = [r.nu for r in body]
     k = results["constants"]
     dens_sharp = [params.omega / (math.log(r.T / zfun.TWO_PI) + 2.0 * k.c)
@@ -292,10 +252,8 @@ def emit_report(results: dict, output_dir: str, fmt: str = "csv") -> None:
          ("omega/(ln(T/2pi)+2c)", nus, dens_sharp)],
         "partition gaps", "nu", "gap")
     gram_records = results["gram_records"]
-    _emit_rows(GRAM_COLUMNS,
-               ((r.nu, r.t, r.tau_bar, r.spacing, r.predicted)
-                for r in gram_records),
-               os.path.join(output_dir, "gram.csv"))
+    _emit_records(gram.GramRecord, gram_records,
+                  os.path.join(output_dir, "gram.csv"))
     _svg.histogram(
         os.path.join(output_dir, "gram_hist.svg"),
         [r.spacing / r.predicted for r in gram_records], 40,
@@ -318,27 +276,27 @@ def emit_report(results: dict, output_dir: str, fmt: str = "csv") -> None:
 
 
 def _cmd_report(args) -> int:
-    rc = _run_config(args)
-    ck = _open_checkpoint(rc)
+    cfg, ck = _open_checkpoint(args)
+    k = ladder.LadderConstants(c0=args.c0)
     params = partition.PartitionParams(
         omega=args.omega, tau=args.tau, T_start=args.start,
-        count=args.count, epsilon=rc.epsilon)
-    records = partition.generate(params, cfg=rc.quad, ckpt=ck,
-                                 k=rc.constants, jobs=rc.jobs)
-    reports, extra = _verify_reports("all", rc, ck)
+        count=args.count, epsilon=args.epsilon)
+    records = partition.generate(params, cfg=cfg, ckpt=ck, k=k,
+                                 jobs=args.jobs)
+    reports, extra = _verify_reports("all", args, cfg, ck)
     reports += verify.ladder_increment_checks(records, params.omega,
-                                              params.tau, k=rc.constants)
+                                              params.tau, k=k)
     gram_records, _ = gram.gram_spacing_report(100, 1000, 0.0)
-    _save_checkpoint(rc, ck)
+    _save_checkpoint(args, ck)
     emit_report({
         "partition_records": records,
         "partition_params": params,
-        "constants": rc.constants,
+        "constants": k,
         "gram_records": gram_records,
         "verify_reports": reports,
         "tka_slope": extra["tka_slope"],
-        "mean_gap": _mean_gap_json(records, params, rc.constants),
-    }, args.out, rc.format)
+        "mean_gap": _mean_gap_json(records, params, k),
+    }, args.out)
     return 0
 
 
@@ -346,12 +304,20 @@ def _cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, checkpoint=True):
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument("--jobs", type=int, default=1)
+def _add_common(p, fmt=True, checkpoint=True, out_dir=False):
+    """--out, a directory when ``out_dir``; --format where the output has a
+    CSV and a JSON form; --jobs, --checkpoint and --tol where Z^2 is
+    integrated."""
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if out_dir:
+        p.add_argument("--out", required=True, help="output directory")
+    else:
+        p.add_argument("--out", default=None, help="write output to this path")
     if checkpoint:
-        p.add_argument("--checkpoint", default=None,
+        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--checkpoint",
+                       default=os.environ.get("HLQ_CHECKPOINT") or None,
                        help="checkpoint file (default $HLQ_CHECKPOINT)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="relative tolerance for cumulative masses")
@@ -411,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--c0", type=float, default=0.0)
-    _add_common(p)
+    _add_common(p, fmt=False)
 
     p = sub.add_parser("report", help="write the full report bundle")
     p.add_argument("--omega", type=float, default=1.0)
@@ -420,11 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--c0", type=float, default=0.0)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    _add_common(p, fmt=False, out_dir=True)
 
     return ap
 

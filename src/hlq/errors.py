@@ -51,9 +51,3 @@ class InsufficientSpan(HlqError):
     """Supplied records do not cover the span required by a statistic."""
 
     kind = "insufficient_span"
-
-
-class NearZeroAbort(HlqError):
-    """Local density dropped below the safe threshold during a walk."""
-
-    kind = "near_zero_abort"

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import zfun
+from ._util import safeguarded_newton
 from .errors import DomainError, NoConvergence
 
 # theta has its minimum near 6.29; bracketing from 7.0 keeps every solve on
@@ -46,19 +47,9 @@ def _solve_theta(target: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise NoConvergence("theta bracket expansion failed")
-    t = 0.5 * (lo + hi)
-    for _ in range(100):
-        r = zfun.theta(t) - target
-        if abs(r) <= _RESIDUAL_TOL:
-            return t
-        if r > 0.0:
-            hi = t
-        else:
-            lo = t
-        d = zfun.theta_deriv(t)
-        t_new = t - r / d if d > 0.0 else t
-        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
-    raise NoConvergence("theta solve: 100 iterations without meeting tolerance")
+    return safeguarded_newton(lambda t: zfun.theta(t) - target,
+                              zfun.theta_deriv, lo, hi, 0.5 * (lo + hi),
+                              _RESIDUAL_TOL, 100, "theta solve")
 
 
 def gram_t(nu: int, tau_bar: float = 0.0) -> float:

@@ -126,6 +126,9 @@ class MassCheckpoint:
     # -- mutation -----------------------------------------------------
     def insert(self, t: float, i_val: float) -> None:
         t = float(t)
+        if not (math.isfinite(t) and t >= 0.0 and math.isfinite(i_val)):
+            raise FormatError(f"insert needs finite T >= 0 and finite I, "
+                              f"got ({t!r}, {i_val!r})")
         pos = bisect.bisect_left(self._ts, t)
         if pos < len(self._ts) and self._ts[pos] == t:
             return

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import hlmass, zfun
+from ._util import safeguarded_newton
 from .errors import DomainError, NoConvergence
 
 LN_TWO_PI = zfun.LN_TWO_PI
@@ -76,22 +77,10 @@ def F_inverse(v: float, k: LadderConstants = DEFAULT_CONSTANTS) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise NoConvergence("F_inverse bracket expansion failed")
-    y = min(max(math.sqrt(lo * hi), lo), hi)
-    for _ in range(200):
-        fy = F_of(y, k) - v
-        if abs(fy) <= 1e-12 * max(1.0, abs(v)):
-            return y
-        if fy > 0.0:
-            hi = y
-        else:
-            lo = y
-        d = F_prime(y, k)
-        step_ok = d > 0.0
-        if step_ok:
-            y_new = y - fy / d
-            step_ok = lo < y_new < hi
-        y = y_new if step_ok else 0.5 * (lo + hi)
-    raise NoConvergence("F_inverse: 200 iterations without meeting tolerance")
+    return safeguarded_newton(lambda y: F_of(y, k) - v,
+                              lambda y: F_prime(y, k), lo, hi,
+                              min(max(math.sqrt(lo * hi), lo), hi),
+                              1e-12 * max(1.0, abs(v)), 200, "F_inverse")
 
 
 def phi_at(T: float, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,

@@ -15,13 +15,12 @@ resolution, so only offsets and gaps are meaningful.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
 from . import hlmass, zfun
-from .errors import DomainError, InsufficientSpan, NearZeroAbort, NoConvergence
+from .errors import DomainError, InsufficientSpan, NoConvergence
 from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, LadderPoint, chord_tan_alpha
 
 PLANCK_H = 6.6e-27
@@ -158,14 +157,8 @@ def generate(params: PartitionParams,
     lps = [LadderPoint(T=t, phi=F_inverse(mi, k), mass=mi)
            for t, mi in zip(points, masses_i)]
 
-    def recheck(i):
-        return hlmass.hl_mass_between(points[i], points[i + 1], cfg=cfg,
-                                      ckpt=ckpt, _recheck=True)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            masses = list(ex.map(recheck, range(params.count)))
-    else:
-        masses = [recheck(i) for i in range(params.count)]
+    masses = [hlmass.hl_mass_between(lo, hi, cfg=cfg, ckpt=ckpt, _recheck=True)
+              for lo, hi in zip(points, points[1:])]
 
     records = []
     for i in range(params.count):
@@ -241,10 +234,10 @@ def planck_sequence(T0: float, count: int):
     """Micro-interval walk with omega = 6.6e-27/pi in a local frame.
 
     Returns count (offset, gap) pairs with T_nu = T0 + offset; offsets are
-    accumulated with compensated summation.  Within one walk the offsets
-    stay far below the scale on which Z varies, so Z^2 is frozen between
-    re-evaluations (triggered each accumulated 1e-6) and each gap is
-    omega / Z^2 at the frozen height.
+    accumulated with compensated summation.  Z^2 is evaluated once, at T0:
+    with |Z(T0)| >= 0.5 and count <= 1e6 the walk spans at most
+    1e6 * omega / 0.25 ~ 8.4e-21, far below the scale on which Z varies,
+    so every gap is omega / Z(T0)^2.
     """
     T0 = float(T0)
     if not (1e3 <= T0 <= 1e5):
@@ -258,25 +251,14 @@ def planck_sequence(T0: float, count: int):
         raise DomainError(
             f"|Z(T0)| = {abs(z.z):.3g} < 0.5: anchor too close to a zero"
         )
-    z2 = z.z * z.z
-    gap = omega / z2
+    gap = omega / (z.z * z.z)
     out = []
     s = 0.0        # compensated offset accumulator
     comp = 0.0
-    last_eval = 0.0
     for _ in range(count):
         out.append((s, gap))
         y = gap + comp
         t = s + y
         comp = y - (t - s)
         s = t
-        if s - last_eval > 1e-6:
-            zz = zfun.z_eval(T0 + s, target_abs_err=1e-9)
-            if abs(zz.z) < 1e-5:
-                raise NearZeroAbort(
-                    f"|Z| = {abs(zz.z):.3g} below 1e-5 at offset {s:.3g}"
-                )
-            z2 = zz.z * zz.z
-            gap = omega / z2
-            last_eval = s
     return out

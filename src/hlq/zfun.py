@@ -132,11 +132,6 @@ def _bernoulli_even():
     return tuple(float(b[2 * k]) for k in range(18))
 
 
-def _em_params(t_max: float):
-    n = max(50, int(0.6 * t_max) + 1)
-    return n, 14
-
-
 def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     """Euler-Maclaurin zeta(1/2+it) for a block of t, shared term count.
 
@@ -196,18 +191,6 @@ def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     return val, rem_bound, ro
 
 
-def _zeta_reference_with_bound(t: float):
-    """zeta(1/2 + it) by Euler-Maclaurin and its certified envelope; the
-    term count is doubled once when its remainder bound exceeds 1e-10."""
-    n, m = _em_params(t)
-    arr = np.array([t])
-    val, rem, ro = _zeta_em_block(arr, n, m)
-    if float(rem[0]) > 1e-10:
-        n *= 2
-        val, rem, ro = _zeta_em_block(arr, n, m)
-    return complex(val[0]), float(rem[0] + ro[0])
-
-
 def _z_from_zeta(ts: np.ndarray, zeta_vals: np.ndarray, zeta_env):
     """Rotate zeta(1/2+it) by e^{i theta}; Z is real, the imaginary part is
     a cross-check absorbed into the envelope."""
@@ -215,6 +198,27 @@ def _z_from_zeta(ts: np.ndarray, zeta_vals: np.ndarray, zeta_env):
     rot = np.exp(1j * th) * zeta_vals
     env = zeta_env + (np.abs(zeta_vals) + 0.1) * 1e-10 + np.abs(np.imag(rot))
     return np.real(rot), env
+
+
+def _z_reference(ts: np.ndarray):
+    """Reference-route Z over an ascending array: (values, envelopes, N).
+
+    The Euler-Maclaurin term count N = max(50, floor(0.6 t) + 1), with
+    M = 14 correction terms, is a per-point function of t, so runs of
+    points sharing one N are evaluated together: a value never depends on
+    which neighbours happened to share its batch.
+    """
+    n_arr = np.maximum(50, np.floor(0.6 * ts).astype(np.int64) + 1)
+    out = np.empty_like(ts)
+    env = np.empty_like(ts)
+    seg = np.flatnonzero(np.r_[True, np.diff(n_arr) != 0])
+    bounds = np.r_[seg, len(ts)]
+    for si in range(len(seg)):
+        i, j = int(bounds[si]), int(bounds[si + 1])
+        chunk = ts[i:j]
+        vals, rem, ro = _zeta_em_block(chunk, int(n_arr[i]), 14)
+        out[i:j], env[i:j] = _z_from_zeta(chunk, vals, rem + ro)
+    return out, env, n_arr
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +297,7 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG):
     env = np.empty_like(ts)
     split = int(np.searchsorted(ts, z_config.rs_min_t, side="left"))
     if split:
-        # term count is a per-point function of t (same rule as the scalar
-        # reference path), so segment runs sharing one count: a value then
-        # never depends on which neighbours happened to share its batch
-        lo_t = ts[:split]
-        n_arr = np.maximum(50, np.floor(0.6 * lo_t).astype(np.int64) + 1)
-        seg = np.flatnonzero(np.r_[True, np.diff(n_arr) != 0])
-        bounds = np.r_[seg, split]
-        for si in range(len(seg)):
-            i, j = int(bounds[si]), int(bounds[si + 1])
-            chunk = lo_t[i:j]
-            vals, rem, ro = _zeta_em_block(chunk, int(n_arr[i]), 14)
-            z, e = _z_from_zeta(chunk, vals, rem + ro)
-            out[i:j] = z
-            env[i:j] = e
+        out[:split], env[:split], _ = _z_reference(ts[:split])
     if split < len(ts):
         z, e = _z_rs_block(ts[split:], z_config.correction_depth)
         out[split:] = z
@@ -336,13 +327,10 @@ def z_eval(t: float, target_abs_err: float = 1e-9,
             z, env = _z_rs_block(arr, z_config.correction_depth)
             n_main = int(math.sqrt(t / TWO_PI))
             return ZSample(t, float(z[0]), float(env[0]), n_main, "riemann_siegel")
-    zeta_val, zeta_env = _zeta_reference_with_bound(t)
-    arr = np.array([t])
-    z, env = _z_from_zeta(arr, np.array([zeta_val]), zeta_env)
+    z, env, n = _z_reference(np.array([t]))
     if float(env[0]) > target_abs_err:
         raise PrecisionUnreachable(
             f"no route certifies {target_abs_err:g} at t={t:g} "
             f"(best {float(env[0]):.3g})"
         )
-    n, _ = _em_params(t)
-    return ZSample(t, float(z[0]), float(env[0]), n, "reference")
+    return ZSample(t, float(z[0]), float(env[0]), int(n[0]), "reference")

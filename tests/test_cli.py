@@ -240,6 +240,10 @@ def test_exit_code_domain_error(capsys):
     assert code == 1
     assert err.startswith("domain_error:")
     assert out == ""
+    code, out, err = run_cli(capsys, "partition", "--jobs", "0")
+    assert code == 1
+    assert err.startswith("domain_error:")
+    assert out == ""
 
 
 def test_exit_code_conflict(capsys, tmp_path, ckpt_file):
@@ -265,6 +269,16 @@ def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc:
         cli.main(["z"])  # missing required --t
     assert exc.value.code == 2
+    # options only the commands that read them accept
+    for argv in (["z", "--t", "100", "--jobs", "2"],
+                 ["theta", "--t", "100", "--jobs", "2"],
+                 ["gram", "--jobs", "2"],
+                 ["planck", "--t", "10002", "--jobs", "2"],
+                 ["verify", "all", "--format", "csv"],
+                 ["report", "--out", "bundle", "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def run_declared_script(*argv):

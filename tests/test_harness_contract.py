@@ -10,7 +10,7 @@ import inspect
 import json
 from pathlib import Path
 
-from hlq import hlmass, zfun
+from hlq import cli, hlmass, zfun
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,5 +42,17 @@ def test_checkpoint_surface(tmp_path, quad_cfg):
     assert json.dumps(ck.z_config, sort_keys=True) == \
         json.dumps(header["z_config"], sort_keys=True)
     assert ck.version == header["version"] and ck.tol == header["tol"]
+    assert ck.int_cover == 12
     default = inspect.signature(zfun.z_many).parameters["z_config"].default
     assert default.rs_min_t == zfun.RS_MIN_T
+
+
+def test_hooked_parameter_names():
+    """perfbench's hooks read these arguments by name."""
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+    assert "output_dir" in params(cli.emit_report)
+    assert "ckpt" in params(hlmass.hl_mass)
+    assert "ckpt" in params(hlmass.hl_mass_probe)
+    assert "path" in params(hlmass.save_checkpoint)
+    assert {"ts", "z_config"} <= params(zfun.z_many)

@@ -229,6 +229,20 @@ def test_insert_monotonicity_guard(quad_cfg):
         ck.insert(5.5, -1.0)
 
 
+def test_insert_refuses_rows_the_file_would_refuse(tmp_path, quad_cfg):
+    """insert takes only rows that load_checkpoint reads back."""
+    ck = hlmass.new_checkpoint(quad_cfg)
+    for t, i_val in ((-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                     (5.5, math.inf), (5.5, math.nan)):
+        with pytest.raises(FormatError):
+            ck.insert(t, i_val)
+    assert list(ck.rows()) == [(0.0, 0.0)]
+    ck.insert(5.5, 1.0)
+    path = str(tmp_path / "c.ckpt")
+    hlmass.save_checkpoint(ck, path)
+    assert list(hlmass.load_checkpoint(path).rows()) == list(ck.rows())
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------

@@ -172,6 +172,9 @@ def test_planck_sequence_exact_quanta():
         assert gap * z2 * math.pi == partition.PLANCK_H
     # micro-gaps: far below float spacing effects at this height
     assert steps[0][1] < 1e-26
+    # Z^2 is evaluated once, at T0: every gap of a long walk is the first
+    walk = partition.planck_sequence(10002.0, 10 ** 4)
+    assert {gap for _, gap in walk} == {walk[0][1]}
 
 
 def test_planck_domain():

@@ -99,6 +99,25 @@ def test_z_eval_reports_method_and_error():
     assert abs(mid.z - strict.z) <= mid.abs_err + strict.abs_err
 
 
+@pytest.mark.parametrize("t", [0.5, 5.0, 50.0, 300.0])
+def test_z_eval_reference_route_is_z_many(t):
+    s = zfun.z_eval(t, target_abs_err=1e-9)
+    assert s.method == "reference"
+    z, env = zfun.z_many([t])
+    assert s.z == z[0] and s.abs_err == env[0]
+
+
+def test_em_remainder_far_below_the_envelope():
+    """At the reference route's term counts the Euler-Maclaurin remainder
+    bound stays below 1e-14 up to t = 1e5, so that route never needs more
+    terms than its rule gives."""
+    ts = np.array([0.0, 10.0, 700.0, 1e4, 1e5])
+    _, _, n_terms = zfun._z_reference(ts)
+    for t, n in zip(ts, n_terms):
+        _, rem, _ = zfun._zeta_em_block(np.array([t]), int(n), 14)
+        assert rem[0] < 1e-14, t
+
+
 def test_z_eval_precision_unreachable():
     with pytest.raises(PrecisionUnreachable):
         zfun.z_eval(50000.0, target_abs_err=1e-12)
