@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import uuid
 
 import numpy as np
 
-from .errors import CheckpointIOError, NoConvergence
+from .errors import CheckpointIOError, DomainError, NoConvergence
 
 
 def pairwise_sum(values) -> float:
@@ -46,6 +47,65 @@ def safeguarded_newton(f, df, lo: float, hi: float, x0: float, tol: float,
         x_new = x - fx / d if d > 0.0 else x
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     raise NoConvergence(f"{what}: {maxiter} iterations without meeting tolerance")
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+           maxiter: int) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of scipy.optimize.brentq's C solver: the same
+    iterates, so the same root bits after the same number of calls of f.
+    Raises DomainError when f(xa) and f(xb) have one sign, NoConvergence
+    after ``maxiter`` iterations.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = float(f(xpre))
+    fcur = float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise DomainError("brentq: f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise NoConvergence(f"brentq: {maxiter} iterations without convergence")
+
+
+def check_jobs(jobs) -> None:
+    """A worker count must be an int >= 1 (not a bool, not 2.0)."""
+    if type(jobs) is not int or jobs < 1:
+        raise DomainError(f"jobs must be an int >= 1, got {jobs!r}")
 
 
 def fmt17(x: float) -> str:

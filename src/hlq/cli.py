@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import _svg, gram, hlmass, ladder, partition, verify, zfun
-from ._util import atomic_write_text, fmt17
+from ._util import atomic_write_text, check_jobs, fmt17
 from .errors import DomainError, HlqError
 
 PLANCK_COLUMNS = ("nu", "offset", "gap")
@@ -29,8 +29,7 @@ PLANCK_COLUMNS = ("nu", "offset", "gap")
 def _open_checkpoint(args):
     """(quadrature config, checkpoint) of a command that integrates Z^2:
     the --checkpoint file when it exists, else a new checkpoint."""
-    if args.jobs < 1:
-        raise DomainError("jobs must be >= 1")
+    check_jobs(args.jobs)
     cfg = hlmass.QuadratureConfig(rel_tol=args.tol)
     if args.checkpoint and os.path.exists(args.checkpoint):
         ck = hlmass.load_checkpoint(args.checkpoint)

@@ -16,9 +16,12 @@ I(500) reference to 2e-12, 8e-16 relative; 8 nodes miss [0, 1] by 3e-8).
 The certified envelope of the point evaluations is accumulated explicitly
 and checked against the requested relative tolerance.
 
-The nodes of all spans in one call are evaluated as a single Z batch and
-each span is reduced in index order by ``np.add.reduceat``, so a span's
-value depends only on its own edges, not on the spans batched with it.
+A span [a, b] with P panels takes the nodes a + (b - a) c_k of one cached
+unit rule per (nodes, P).  A run of whole cells [m, m+1] with one P goes to
+Z as a lattice, nodes m + c_k, whose Riemann-Siegel main sum factors into
+per-cell and per-offset phase tables (``zfun.z_many``).  Each span is
+reduced in index order by ``np.add.reduceat``, so a span's value depends
+only on its own edges, not on the spans batched with it.
 
 Checkpoints
 -----------
@@ -31,6 +34,7 @@ therefore byte-identical across reruns and worker counts.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -38,10 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import zfun
-from ._util import atomic_write_text, fmt17, pairwise_sum
+from ._util import atomic_write_text, check_jobs, fmt17, pairwise_sum
 from .errors import (
     CheckpointConflict,
     CheckpointIOError,
@@ -50,7 +53,7 @@ from .errors import (
     PrecisionUnreachable,
 )
 
-CHECKPOINT_VERSION = "3"
+CHECKPOINT_VERSION = "4"
 
 # (Gauss-Legendre nodes per panel, widest panel): the fixed rule, and the
 # finer one the partition recheck integrates each interval with again
@@ -141,6 +144,20 @@ class MassCheckpoint:
         if t == float(self._int_cover + 1):
             self._extend_cover()
 
+    def _append_cells(self, values) -> None:
+        """Rows int_cover + 1, int_cover + 2, ... holding ``values``: one
+        bulk append when no row lies above the cover, else row by row."""
+        m0 = self._int_cover
+        if self._ts[-1] != m0:
+            for m, v in enumerate(values, start=m0 + 1):
+                self.insert(float(m), v)
+            return
+        if not all(map(math.isfinite, values)):
+            raise FormatError("insert needs finite I")
+        self._ts.extend(float(m) for m in range(m0 + 1, m0 + 1 + len(values)))
+        self._is.extend(values)
+        self._int_cover = m0 + len(values)
+
     def _extend_cover(self) -> None:
         m = self._int_cover
         while self.lookup(m + 1) is not None:
@@ -230,29 +247,29 @@ def load_checkpoint(path: str) -> MassCheckpoint:
 # panel machinery
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=2)
-def _gl_rule(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+@lru_cache(maxsize=32)
+def _unit_rule(n_nodes: int, n_panels: int):
+    """Offsets c_k in (0, 1) and weights w_k of ``n_panels`` equal panels
+    of [0, 1] with ``n_nodes`` Gauss-Legendre nodes each: a span [a, b]
+    takes the nodes a + (b - a) c_k and the weights (b - a) w_k."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    offsets = ((np.arange(n_panels)[:, None] + 0.5 * (x + 1.0)) / n_panels).ravel()
+    weights = np.tile(0.5 * w / n_panels, n_panels)
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
 
 
 TWO_PI_E = zfun.TWO_PI * math.e
 
 
-def _interval_nodes(a: float, b: float, rule):
-    """Equal-split panels of [a,b] with the GL rule; returns (nodes, weights)."""
-    n_nodes, max_panel = rule
-    # half the local mean zero spacing, judged at the right endpoint
-    dens = math.log(max(b, TWO_PI_E) / zfun.TWO_PI)
-    width = min(max_panel, math.pi / dens)
-    n_panels = max(1, int(math.ceil((b - a) / width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    x, w = _gl_rule(n_nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+def _panel_counts(lo, hi, rule) -> np.ndarray:
+    """Equal panels of each span [lo, hi], each no wider than ``rule``'s
+    widest panel and half the local mean zero spacing 2pi/ln(t/2pi), judged
+    at the right endpoint."""
+    dens = np.log(np.maximum(hi, TWO_PI_E) / zfun.TWO_PI)
+    width = np.minimum(rule[1], math.pi / dens)
+    return np.maximum(1, np.ceil((hi - lo) / width)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -264,24 +281,36 @@ def _span_masses(edges, z_policy: zfun.ZConfig, damp: float = 0.0,
     """Masses of Z^2 (times exp(-2*damp*t) if ``damp``) over each span
     [edges[i], edges[i+1]]; returns (values, envelopes) as arrays.
 
-    Every nonempty span gets the Gauss-Legendre panels of ``rule`` and the
-    nodes of all spans go to Z as one batch.  Each span's terms are reduced
+    Every nonempty span gets the unit rule of its panel count, and each run
+    of spans with one panel count gets its nodes by one broadcast.  A run of
+    whole cells [m, m+1] goes to Z as a lattice, with the nodes m + c_k;
+    other spans take the pointwise main sum.  Each span's terms are reduced
     in index order by ``np.add.reduceat``, so a span's value does not depend
-    on which other spans share its batch.  The envelope covers the certified
+    on which other spans share its call.  The envelope covers the certified
     point errors |d(f^2)| <= (2|f|+e)*e plus summation roundoff.
     """
-    n = len(edges) - 1
-    vals = np.zeros(n)
-    envs = np.zeros(n)
-    spans = [k for k in range(n) if edges[k] < edges[k + 1]]
-    if not spans:
+    edges = np.asarray(edges, dtype=np.float64)
+    vals = np.zeros(len(edges) - 1)
+    envs = np.zeros(len(edges) - 1)
+    spans = np.flatnonzero(edges[:-1] < edges[1:])
+    if not len(spans):
         return vals, envs
-    nodes, weights = zip(*(_interval_nodes(float(edges[k]), float(edges[k + 1]), rule)
-                           for k in spans))
-    starts = np.cumsum([0] + [len(x) for x in nodes[:-1]])
-    x = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    f, e = zfun.z_many(x, z_policy)
+    lo, hi = edges[spans], edges[spans + 1]
+    width = hi - lo
+    is_cell = (width == 1.0) & (lo == np.floor(lo))
+    keys = zip(_panel_counts(lo, hi, rule).tolist(), is_cell.tolist())
+    parts, sizes, i = [], [], 0
+    for (panels, whole), run in itertools.groupby(keys):
+        j = i + len(list(run))
+        offsets, weights = _unit_rule(rule[0], panels)
+        x = (lo[i:j, None] + width[i:j, None] * offsets).ravel()
+        w = (width[i:j, None] * weights).ravel()
+        lattice = (lo[i:j], offsets) if whole else None
+        parts.append((x, w) + zfun.z_many(x, z_policy, lattice=lattice))
+        sizes += [len(offsets)] * (j - i)
+        i = j
+    x, w, f, e = (np.concatenate(col) for col in zip(*parts))
+    starts = np.cumsum([0] + sizes[:-1])
     contrib = w * (f * f)
     env_terms = w * (2.0 * np.abs(f) + e) * e
     if damp:
@@ -342,12 +371,11 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     m0 = ckpt.int_cover
     vals, envs = _cells_masses(m0, target_m, ckpt.z_policy, jobs=jobs)
     env_new = float(envs.sum())
-    end_val = ckpt.lookup(float(m0)) + float(vals.sum())
-    _check_budget(env_new, end_val, cfg, f"extending to T={target_m}")
-    acc = ckpt.lookup(float(m0))
-    for k, v in enumerate(vals):
-        acc += float(v)
-        ckpt.insert(float(m0 + k + 1), acc)
+    anchor = ckpt.lookup(float(m0))
+    _check_budget(env_new, anchor + float(vals.sum()), cfg,
+                  f"extending to T={target_m}")
+    running = list(itertools.accumulate(vals.tolist(), initial=anchor))
+    ckpt._append_cells(running[1:])
     ckpt._env += env_new
     ckpt.tol = max(ckpt.tol, cfg.rel_tol)
 
@@ -368,6 +396,7 @@ def _query(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint | None,
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError("I(T) requires finite T >= 0")
+    check_jobs(jobs)
     if ckpt is None:
         ckpt = new_checkpoint(cfg)
     check_compat(ckpt, cfg)
@@ -438,6 +467,7 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     delta = float(delta)
     if not (0.0 < delta <= 1.0):
         raise DomainError("damped_mass requires 0 < delta <= 1")
+    check_jobs(jobs)
     t_max = math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * delta)
     m1 = int(math.floor(t_max))
     zc = zfun.DEFAULT_Z_CONFIG
@@ -448,9 +478,12 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
         v, e = _span_masses((float(m1), t_max), zc, damp=delta)
         pieces.append(float(v[0]))
         env += float(e[0])
-    # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2)
+    # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2),
+    # with Gamma(3/2, x) = sqrt(x) e^-x + (sqrt(pi)/2) erfc(sqrt(x))
     x = 2.0 * delta * t_max
-    tail = Z2_ENVELOPE_C * float(gammaincc(1.5, x)) * math.gamma(1.5) / (2.0 * delta) ** 1.5
+    upper_gamma = (math.sqrt(x) * math.exp(-x)
+                   + 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)))
+    tail = Z2_ENVELOPE_C * upper_gamma / (2.0 * delta) ** 1.5
     env += tail
     total = pairwise_sum(pieces)
     _check_budget(env, total, cfg, f"of the damped integral at delta={delta:g}")

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from . import hlmass, zfun
+from ._util import brentq
 from .errors import DomainError, InsufficientSpan, NoConvergence
 from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, LadderPoint, chord_tan_alpha
 
@@ -75,7 +74,6 @@ def _solve_lattice(target: float, lo: float, hi: float,
     def f(t):
         return hlmass.hl_mass_probe(t, cfg=cfg, ckpt=ckpt, jobs=jobs) - target
     root = brentq(f, lo, hi, xtol=1e-13, rtol=4.0 * zfun.EPS, maxiter=200)
-    root = float(root)
     resid = abs(hlmass.hl_mass_probe(root, cfg=cfg, ckpt=ckpt) - target)
     if resid > _LATTICE_RTOL * max(1.0, abs(target)):
         raise NoConvergence(

@@ -9,7 +9,9 @@ Three evaluation routes, each with a certified absolute-error envelope:
   height here considered; ``z_many`` uses it below ``ZConfig.rs_min_t``.
 * the Riemann-Siegel route: main sum plus up to four correction terms.
   ``z_eval`` uses it from ``T_SWITCH`` up when its envelope meets the
-  requested target, otherwise it falls back to the reference route.
+  requested target, otherwise it falls back to the reference route.  On
+  the nodes of whole unit cells ``z_many`` factors the main sum over a
+  lattice of cells and offsets (``_lattice_main_sum``).
 
 The RS truncation constants ``RS_TRUNC_C`` are empirical, not a proved
 bound: against mpmath at 150 points on [25, 1e6] the worst error/envelope
@@ -21,11 +23,11 @@ since the oscillation arguments grow like t*ln(t).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 import math
 
 import numpy as np
-from scipy.special import loggamma
 
 from ._rs_coeffs import RS_C_TABLES
 from ._util import as_float_array
@@ -93,7 +95,7 @@ def theta_many(ts) -> np.ndarray:
     lo = ts < T_SWITCH
     if np.any(lo):
         t = ts[lo]
-        out[lo] = np.imag(loggamma(0.25 + 0.5j * t)) - 0.5 * t * math.log(math.pi)
+        out[lo] = _im_loggamma_quarter(0.5 * t) - 0.5 * t * math.log(math.pi)
     hi = ~lo
     if np.any(hi):
         t = ts[hi]
@@ -105,6 +107,28 @@ def theta_many(ts) -> np.ndarray:
             + 7.0 / (5760.0 * t ** 3)
             + 31.0 / (80640.0 * t ** 5)
         )
+    return out
+
+
+def _im_loggamma_quarter(y: np.ndarray) -> np.ndarray:
+    """Im log Gamma(1/4 + iy), the branch continuous from y = 0.
+
+    Upward recurrence log Gamma(z) = log Gamma(z + 10) - sum_{j<10} log(z + j)
+    moves the argument to Re w = 10.25, where the Stirling series with the
+    terms B_2k / (2k (2k-1) w^(2k-1)), k <= 8, is truncated below 1e-17.
+    Each log(z + j) has Re > 0, so its imaginary part is atan2(y, 1/4 + j).
+    """
+    w = 10.25 + 1j * y
+    bern = _bernoulli_even()
+    w_inv2 = 1.0 / (w * w)
+    power = 1.0 / w
+    series = np.zeros_like(w)
+    for k in range(1, 9):
+        series += (bern[k] / (2 * k * (2 * k - 1))) * power
+        power = power * w_inv2
+    out = np.imag((w - 0.5) * np.log(w) - w + series)
+    for j in range(10):
+        out -= np.arctan2(y, 0.25 + j)
     return out
 
 
@@ -126,9 +150,11 @@ def theta_deriv(t: float) -> float:
 
 @lru_cache(maxsize=1)
 def _bernoulli_even():
-    from scipy.special import bernoulli
-
-    b = bernoulli(34)
+    """B_0, B_2, ..., B_34 as floats, each rounded once from the exact
+    rational given by sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 35):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
     return tuple(float(b[2 * k]) for k in range(18))
 
 
@@ -250,21 +276,75 @@ def _rs_corrections(p: np.ndarray, q: np.ndarray, depth: int) -> np.ndarray:
     return corr
 
 
-def _z_rs_block(ts: np.ndarray, depth: int):
+def _add_cos_terms(ts, th, n_lo, n_hi, out) -> None:
+    """out += sum_{n_lo < n <= n_hi} cos(th - t ln n) / sqrt(n), pointwise.
+
+    n_lo and n_hi are nondecreasing along the block, so the points that take
+    term n form one slice; terms are added in ascending n.
+    """
+    ns = np.arange(int(n_lo[0]) + 1, int(n_hi[-1]) + 1)
+    starts = np.searchsorted(n_hi, ns, side="left").tolist()
+    stops = np.searchsorted(n_lo, ns, side="left").tolist()
+    for n, i0, i1 in zip(ns.tolist(), starts, stops):
+        if i0 < i1:
+            out[i0:i1] += np.cos(th[i0:i1] - ts[i0:i1] * math.log(n)) / math.sqrt(n)
+
+
+def _lattice_main_sum(th, cells, offsets):
+    """sum_{n <= N_m} n^(-1/2) cos(theta(t) - t ln n) at the nodes t = m + c_k
+    of whole cells m in ``cells`` (ascending), offsets c_k in ``offsets``;
+    returns (sums, N_m per node).
+
+    With t = m + c_k the sum is Re(e^(i theta) sum_n [n^(-1/2) e^(-i m ln n)]
+    e^(-i c_k ln n)): a (cells x N) and an (offsets x N) phase table replace
+    the cells * offsets * N cosines of the pointwise sum.  The terms are
+    accumulated by elementwise complex multiply-adds in ascending n, no BLAS
+    product, so a node's bits do not depend on the cells beside it; for the
+    same reason each cell takes its dense term count N_m = floor(sqrt(m/2pi))
+    from the cell itself, never from its block.
+
+    Phase error: the sum is taken at the exact m + c_k while theta is taken
+    at the node fl(m + c_k).  Per term, the phase m ln n carries the
+    roundings of ln n and of the product, each at most (eps/2) m ln n, and
+    the node's rounding adds |fl(m + c_k) - (m + c_k)| ln n <= (eps/2) t ln n:
+    at most (3/2) eps t ln n, as for the pointwise phase t ln n.  Since
+    n <= sqrt(t/2pi), ln n < (ln t)/2, so this stays within the eps t ln t
+    per term that ``rs_roundoff_env`` charges; the offset phases c_k ln n
+    and the complex products add O(eps) relative per term.
+    """
+    n_cell = np.floor(np.sqrt(cells / TWO_PI)).astype(np.int64)
+    n_max = int(n_cell[-1])
+    logs = np.array([math.log(n) for n in range(1, n_max + 1)])
+    inv_root = 1.0 / np.sqrt(np.arange(1.0, n_max + 1.0))
+    cell_f = np.exp(-1j * (logs[:, None] * cells[None, :])) * inv_root[:, None]
+    off_f = np.exp(-1j * (logs[:, None] * offsets[None, :]))
+    acc = np.zeros((len(cells), len(offsets)), dtype=np.complex128)
+    for n in range(1, n_max + 1):
+        i0 = int(np.searchsorted(n_cell, n, side="left"))
+        acc[i0:] += cell_f[n - 1, i0:, None] * off_f[n - 1]
+    s = acc.ravel()
+    return np.cos(th) * s.real - np.sin(th) * s.imag, np.repeat(n_cell, len(offsets))
+
+
+def _z_rs_block(ts: np.ndarray, depth: int, lattice=None):
     """RS evaluation for an ascending block of t >= 2*TWO_PI.
 
     Main-sum terms are added suffix-wise: N(t) is nondecreasing along the
-    block, so term n applies exactly to the suffix where N >= n.
+    block, so term n applies exactly to the suffix where N >= n.  With
+    ``lattice = (cells, offsets)`` the last len(cells) * len(offsets) points
+    are the whole-cell nodes cells[:, None] + offsets: their dense terms
+    n <= N_m come from ``_lattice_main_sum`` and the at most one term more,
+    for nodes past sqrt(t/2pi) = N_m + 1, is added pointwise.
     """
     a = np.sqrt(ts / TWO_PI)
     n_of_t = np.floor(a).astype(np.int64)
     th = theta_many(ts)
     total = np.zeros_like(ts)
-    n_max = int(n_of_t[-1])
-    for n in range(1, n_max + 1):
-        i0 = int(np.searchsorted(n_of_t, n, side="left"))
-        tt = ts[i0:]
-        total[i0:] += np.cos(th[i0:] - tt * math.log(n)) / math.sqrt(n)
+    n_lo = np.zeros_like(n_of_t)
+    if lattice is not None:
+        j = len(ts) - len(lattice[0]) * len(lattice[1])
+        total[j:], n_lo[j:] = _lattice_main_sum(th[j:], *lattice)
+    _add_cos_terms(ts, th, n_lo, n_of_t, total)
     total *= 2.0
     p = a - n_of_t
     q = np.sqrt(TWO_PI / ts)
@@ -279,12 +359,16 @@ def _z_rs_block(ts: np.ndarray, depth: int):
 # combined evaluation
 # ---------------------------------------------------------------------------
 
-def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG):
+def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     """Vectorized Z over an ascending array; returns (values, envelopes).
 
     Route per point: reference below ``z_config.rs_min_t``, Riemann-Siegel
     above.  This is the integrand path used by the quadrature; envelopes are
-    per-point certified absolute errors.
+    per-point certified absolute errors.  ``lattice = (cells, offsets)``
+    says that ts is cells[:, None] + offsets, raveled: the nodes of whole
+    cells [m, m+1].  Cells with every node on the RS route then take the
+    factored main sum; a cell that straddles ``rs_min_t`` is evaluated
+    pointwise.
     """
     ts = as_float_array(ts)
     if len(ts) == 0:
@@ -293,13 +377,22 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG):
         raise DomainError("z_many requires ascending t")
     if ts[0] < 0:
         raise DomainError("z_many requires t >= 0")
+    if lattice is not None and not np.array_equal(
+            ts, (lattice[0][:, None] + lattice[1]).ravel()):
+        raise DomainError("z_many lattice does not match ts")
     out = np.empty_like(ts)
     env = np.empty_like(ts)
     split = int(np.searchsorted(ts, z_config.rs_min_t, side="left"))
     if split:
         out[:split], env[:split], _ = _z_reference(ts[:split])
     if split < len(ts):
-        z, e = _z_rs_block(ts[split:], z_config.correction_depth)
+        rs_lattice = None
+        if lattice is not None:
+            cells, offsets = lattice
+            first = -(-split // len(offsets))  # first cell wholly on the RS route
+            if first < len(cells):
+                rs_lattice = (cells[first:], offsets)
+        z, e = _z_rs_block(ts[split:], z_config.correction_depth, rs_lattice)
         out[split:] = z
         env[split:] = e
     return out, env

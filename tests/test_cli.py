@@ -246,9 +246,12 @@ def test_exit_code_domain_error(capsys):
     assert out == ""
 
 
-def test_exit_code_conflict(capsys, tmp_path, ckpt_file):
+def test_exit_code_conflict(capsys, tmp_path):
+    ckpt = str(tmp_path / "default_tol.ckpt")
+    code, _, _ = run_cli(capsys, "mass", "--t", "10", "--checkpoint", ckpt)
+    assert code == 0
     code, _, err = run_cli(capsys, "mass", "--t", "10",
-                           "--checkpoint", ckpt_file, "--tol", "1e-11")
+                           "--checkpoint", ckpt, "--tol", "1e-11")
     assert code == 1
     assert err.startswith("checkpoint_conflict:")
 
@@ -311,6 +314,20 @@ def test_console_script_installed():
     proc = run_declared_script("theta", "--t", "-1")
     assert proc.returncode == 1
     assert proc.stderr.startswith("domain_error:")
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test-only dependency: importing the package and its CLI
+    must not load it (start-up time of every command)."""
+    src = str(Path(hlq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, hlq, hlq.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("hlq") is None,

@@ -4,9 +4,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from hlq import hlmass, zfun
+from hlq import hlmass, partition, zfun
 from hlq.errors import (CheckpointConflict, CheckpointIOError, DomainError,
                         FormatError, PrecisionUnreachable)
 
@@ -95,6 +96,81 @@ def test_extension_path_independent(quad_cfg):
             assert rows_b[t] == v
 
 
+def _integer_rows(ck):
+    return [(t, v) for t, v in ck.rows() if t == int(t)]
+
+
+@pytest.mark.parametrize("z_policy", [zfun.DEFAULT_Z_CONFIG,
+                                      zfun.ZConfig(rs_min_t=700.5)],
+                         ids=["default", "rs_min_t=700.5"])
+def test_extension_path_independent_on_the_lattice(z_policy):
+    """Above rs_min_t whole cells take the lattice main sum; a cell's bits
+    must not depend on the block it was extended in.  With rs_min_t = 700.5
+    the cell [700, 701] straddles the route split."""
+    cfg = hlmass.QuadratureConfig()
+    one = hlmass.new_checkpoint(cfg, z_policy)
+    hlmass.hl_mass(1300.0, cfg=cfg, ckpt=one)
+    steps = hlmass.new_checkpoint(cfg, z_policy)
+    hlmass.hl_mass(700.0, cfg=cfg, ckpt=steps)
+    for m in range(701, 761):
+        hlmass.hl_mass(float(m), cfg=cfg, ckpt=steps)
+    # uneven steps whose 256-cell blocks end at other cells than one's
+    for t in (761.0, 1016.0, 1017.0, 1023.0, 1280.0, 1281.0, 1300.0):
+        hlmass.hl_mass(t, cfg=cfg, ckpt=steps)
+    assert _integer_rows(steps) == _integer_rows(one)
+    assert len(one) == 1301
+
+
+# (first cell, cell count): P = 2 at 700; P goes 2 -> 3 at cell 3364 and
+# 3 -> 4 at cell 77859 (right edges past 2 pi e^(2 pi), 2 pi e^(3 pi))
+_LATTICE_BANDS = [(700, 2), (3363, 2), (77858, 2), (100000, 1)]
+
+
+@pytest.mark.parametrize("m0,count", _LATTICE_BANDS)
+def test_lattice_nodes_within_envelope(monkeypatch, m0, count):
+    """Every node of the cells, as the span kernel evaluates it, against
+    mpmath's Z at 25 digits: |Z - Z_mp| <= envelope at depths 4 and 2."""
+    mpmath = pytest.importorskip("mpmath")
+    calls = []
+    z_many = zfun.z_many
+
+    def recording(ts, z_config=zfun.DEFAULT_Z_CONFIG, lattice=None):
+        calls.append((ts, lattice, z_config.correction_depth))
+        return z_many(ts, z_config, lattice=lattice)
+    monkeypatch.setattr(zfun, "z_many", recording)
+    edges = [float(m) for m in range(m0, m0 + count + 1)]
+    for depth in (4, 2):
+        hlmass._span_masses(edges, zfun.ZConfig(correction_depth=depth))
+    assert len(calls) == 2 * len({int(p) for p in hlmass._panel_counts(
+        np.array(edges[:-1]), np.array(edges[1:]), hlmass._RULE)})
+    assert all(lattice is not None for _, lattice, _ in calls)
+    with mpmath.workdps(25):
+        ref = {t: float(mpmath.siegelz(t)) for ts, _, _ in calls for t in ts.tolist()}
+    for ts, lattice, depth in calls:
+        z, env = z_many(ts, zfun.ZConfig(correction_depth=depth), lattice=lattice)
+        err = np.abs(z - np.array([ref[t] for t in ts.tolist()]))
+        assert np.all(err <= env), (depth, float(np.max(err / env)))
+        # the factored sum, not the pointwise one, produced these values
+        direct, _ = z_many(ts, zfun.ZConfig(correction_depth=depth))
+        assert not np.array_equal(z, direct)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 2.0, True])
+def test_jobs_must_be_a_positive_int(quad_cfg, jobs):
+    ck = hlmass.new_checkpoint(quad_cfg)
+    calls = (
+        lambda: hlmass.hl_mass(30.0, cfg=quad_cfg, ckpt=ck, jobs=jobs),
+        lambda: hlmass.hl_mass_probe(30.0, cfg=quad_cfg, ckpt=ck, jobs=jobs),
+        lambda: hlmass.damped_mass(0.5, cfg=quad_cfg, jobs=jobs),
+        lambda: partition.generate(partition.PartitionParams(count=2),
+                                   cfg=quad_cfg, ckpt=ck, jobs=jobs),
+    )
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    assert list(ck.rows()) == [(0.0, 0.0)]
+
+
 def test_z_config_reaches_the_checkpoint(tmp_path):
     """The Z policy a checkpoint was built with drives every query on it,
     is written into its header, and survives a reload."""
@@ -172,6 +248,8 @@ def _edit_header(lines, edit):
      "version 1"),
     (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"2"')] + L[1:],
      "version 2"),
+    (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"3"')] + L[1:],
+     "version 3"),
     (lambda L: [L[0]] + L[2:], "missing 0 row"),
     (lambda L: L + ["5\tnot_a_number"], "bad float"),
     (lambda L: L + [L[-1]], "duplicate T"),

@@ -1,0 +1,56 @@
+"""Numeric helpers: the Brent root solver."""
+
+import math
+import random
+
+import pytest
+
+from hlq._util import brentq
+from hlq.errors import DomainError, NoConvergence
+
+
+def _seeded_problems(n, seed=20261018):
+    """(f, a, b, xtol, rtol): brackets of smooth and kinked functions,
+    either orientation, at the tolerances the package and scipy use."""
+    rng = random.Random(seed)
+    shapes = (
+        lambda r, s: lambda x: (x - r) ** 3,
+        lambda r, s: lambda x: math.atan(s * (x - r)) + 0.1 * (x - r) ** 3,
+        lambda r, s: lambda x: math.expm1(s * (x - r)),
+        lambda r, s: lambda x: math.tanh(x - r) * (1.0 + 0.5 * math.sin(7.0 * x)),
+        lambda r, s: lambda x: x - r if x < r else s * (x - r) ** 2,
+    )
+    for i in range(n):
+        r, s = rng.uniform(-50.0, 50.0), rng.uniform(0.1, 3.0)
+        a, b = r - rng.uniform(1e-3, 20.0), r + rng.uniform(1e-3, 20.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        xtol = rng.choice((1e-13, 2e-12, 1e-6))
+        rtol = rng.choice((4.0 * 2.220446049250313e-16, 1e-9))
+        yield shapes[i % len(shapes)](r, s), a, b, xtol, rtol
+
+
+def test_brentq_is_scipys_solver():
+    """Same root bits after the same number of calls as scipy.optimize.brentq."""
+    optimize = pytest.importorskip("scipy.optimize")
+    for f, a, b, xtol, rtol in _seeded_problems(1200):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        root = brentq(counted, a, b, xtol, rtol, 200)
+        ours = list(calls)
+        calls.clear()
+        ref, info = optimize.brentq(counted, a, b, xtol=xtol, rtol=rtol,
+                                    maxiter=200, full_output=True)
+        assert root == ref
+        assert ours == calls and len(ours) == info.function_calls
+
+
+def test_brentq_errors():
+    with pytest.raises(DomainError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15, 50)
+    with pytest.raises(NoConvergence):
+        brentq(lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0, 1e-15, 1e-15, 3)
+    assert brentq(lambda x: x, 0.0, 1.0, 1e-12, 1e-15, 50) == 0.0

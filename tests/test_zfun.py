@@ -48,6 +48,22 @@ def test_theta_many_matches_scalar():
         assert v == zfun.theta(float(t))
 
 
+def test_theta_below_switch_matches_mpmath():
+    # the log-Gamma route below T_SWITCH, against mpmath at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.linspace(0.0, zfun.T_SWITCH, 401)[:-1]
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.siegeltheta(t)) for t in ts])
+    assert np.max(np.abs(zfun.theta_many(ts) - ref)) <= 1e-14
+
+
+def test_bernoulli_numbers_exact():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = tuple(float(mpmath.bernoulli(2 * k)) for k in range(18))
+    assert zfun._bernoulli_even() == ref
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=10.0, max_value=1e6),
        st.floats(min_value=1e-6, max_value=1e3))
