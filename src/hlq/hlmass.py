@@ -92,7 +92,6 @@ class MassCheckpoint:
         self._ts: list[float] = [0.0]
         self._is: list[float] = [0.0]
         self._int_cover = 0  # all integers 0.._int_cover are present
-        self._env = 0.0      # in-memory envelope accumulated this session
 
     @property
     def z_config(self) -> dict:
@@ -370,13 +369,11 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
         return
     m0 = ckpt.int_cover
     vals, envs = _cells_masses(m0, target_m, ckpt.z_policy, jobs=jobs)
-    env_new = float(envs.sum())
     anchor = ckpt.lookup(float(m0))
-    _check_budget(env_new, anchor + float(vals.sum()), cfg,
+    _check_budget(float(envs.sum()), anchor + float(vals.sum()), cfg,
                   f"extending to T={target_m}")
     running = list(itertools.accumulate(vals.tolist(), initial=anchor))
     ckpt._append_cells(running[1:])
-    ckpt._env += env_new
     ckpt.tol = max(ckpt.tol, cfg.rel_tol)
 
 
@@ -406,7 +403,6 @@ def _query(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint | None,
     total, part_env = _mass_at(t, cfg, ckpt, jobs)
     if not record:
         return total
-    ckpt._env += part_env
     _check_budget(part_env, total, cfg, f"at T={t:g}")
     ckpt.insert(t, total)
     return total
@@ -428,6 +424,22 @@ def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     independent of the search path that produced them.
     """
     return _query(t, cfg, ckpt, jobs, record=False)
+
+
+def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
+              jobs: int = 1) -> int:
+    """The integer m with I(m) <= target < I(m + 1), read off the grid; the
+    cover grows by 1, 2, 4, ... cells while I(int_cover) <= target."""
+    if not (target >= 0.0 and math.isfinite(target)):
+        raise DomainError("mass_cell requires a finite target >= 0")
+    check_jobs(jobs)
+    check_compat(ckpt, cfg)
+    step = 1
+    while ckpt.lookup(float(ckpt.int_cover)) <= target:
+        _ensure_cover(ckpt, ckpt.int_cover + step, cfg, jobs)
+        step *= 2
+    pos = bisect.bisect_right(ckpt._is, target)
+    return math.floor(ckpt._ts[pos - 1])
 
 
 def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -488,8 +500,3 @@ def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     total = pairwise_sum(pieces)
     _check_budget(env, total, cfg, f"of the damped integral at delta={delta:g}")
     return total
-
-
-def checkpoint_env(ckpt: MassCheckpoint) -> float:
-    """Envelope accumulated by extensions in this session (diagnostic)."""
-    return ckpt._env

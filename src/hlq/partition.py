@@ -2,7 +2,9 @@
 
 The sequence T_nu(omega, tau) solves I(T_nu) = omega*nu + tau on the
 lattice of masses, so consecutive points bound intervals of identical mass
-omega and tau = 0 degenerates to the unshifted sequence.  Each generated
+omega and tau = 0 degenerates to the unshifted sequence.  Each target is
+solved by Brent inside its integer cell [m, m + 1] of the checkpoint grid,
+so T_nu depends only on nu, omega, tau and the grid.  Each generated
 interval is re-integrated with a different panel discretization as an
 independent check, and gap diagnostics compare against the chord identity
 gap = omega / ((ln(phi/2) - a) * tan(alpha)).
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from . import hlmass, zfun
 from ._util import brentq
-from .errors import DomainError, InsufficientSpan, NoConvergence
+from .errors import DomainError, InsufficientSpan, NoConvergence, PrecisionUnreachable
 from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, LadderPoint, chord_tan_alpha
 
 PLANCK_H = 6.6e-27
@@ -67,38 +69,23 @@ def predicted_gap(T_lo: LadderPoint, T_hi: LadderPoint, omega: float,
     return omega / denom
 
 
-def _solve_lattice(target: float, lo: float, hi: float,
+def _solve_lattice(target: float, omega: float,
                    cfg: hlmass.QuadratureConfig, ckpt: hlmass.MassCheckpoint,
                    jobs: int = 1) -> float:
-    """T in [lo, hi] with I(T) = target; bracket must already enclose it."""
+    """T with I(T) = target, solved by Brent inside its integer grid cell."""
+    bound = _LATTICE_RTOL * max(1.0, abs(target))
+    if not (bound < omega):
+        raise PrecisionUnreachable(f"omega {omega:g} is not above the lattice "
+                                   f"residual bound {bound:.3g} at target {target:g}")
+
     def f(t):
         return hlmass.hl_mass_probe(t, cfg=cfg, ckpt=ckpt, jobs=jobs) - target
-    root = brentq(f, lo, hi, xtol=1e-13, rtol=4.0 * zfun.EPS, maxiter=200)
-    resid = abs(hlmass.hl_mass_probe(root, cfg=cfg, ckpt=ckpt) - target)
-    if resid > _LATTICE_RTOL * max(1.0, abs(target)):
-        raise NoConvergence(
-            f"lattice solve residual {resid:.3g} at target {target:g}"
-        )
+    m = hlmass.mass_cell(target, cfg, ckpt, jobs=jobs)
+    root = brentq(f, m, m + 1, xtol=1e-13, rtol=4.0 * zfun.EPS, maxiter=200)
+    resid = abs(f(root))
+    if resid > bound:
+        raise NoConvergence(f"lattice solve residual {resid:.3g} at target {target:g}")
     return root
-
-
-def _advance(T_prev: float, target: float, omega: float,
-             cfg: hlmass.QuadratureConfig, ckpt: hlmass.MassCheckpoint,
-             jobs: int = 1) -> float:
-    """Next lattice point after T_prev with I(T) = target."""
-    z = zfun.z_eval(T_prev, target_abs_err=1e-6)
-    step = omega / max(z.z * z.z, 0.01)
-    lo = T_prev
-    hi = T_prev + step
-    for _ in range(200):
-        if hlmass.hl_mass_probe(hi, cfg=cfg, ckpt=ckpt, jobs=jobs) >= target:
-            break
-        lo = hi
-        step *= 2.0
-        hi = T_prev + step
-    else:
-        raise NoConvergence("bracket expansion failed in _advance")
-    return _solve_lattice(target, lo, hi, cfg, ckpt, jobs=jobs)
 
 
 def seed_point(params: PartitionParams,
@@ -113,8 +100,7 @@ def seed_point(params: PartitionParams,
     target = params.omega * nu0 + params.tau
     if target == i_start:
         return nu0, params.T_start
-    t = _advance(params.T_start, target, params.omega, cfg, ckpt, jobs=jobs)
-    return nu0, t
+    return nu0, _solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs)
 
 
 def next_point(T_prev: float, omega: float,
@@ -130,7 +116,7 @@ def next_point(T_prev: float, omega: float,
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
     i_prev = hlmass.hl_mass_probe(T_prev, cfg=cfg, ckpt=ckpt, jobs=jobs)
-    return _advance(T_prev, i_prev + omega, omega, cfg, ckpt, jobs=jobs)
+    return _solve_lattice(i_prev + omega, omega, cfg, ckpt, jobs=jobs)
 
 
 def generate(params: PartitionParams,
@@ -150,7 +136,7 @@ def generate(params: PartitionParams,
     points = [t0]
     for i in range(1, params.count + 1):
         target = params.omega * (nu0 + i) + params.tau
-        points.append(_advance(points[-1], target, params.omega, cfg, ckpt, jobs=jobs))
+        points.append(_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
     masses_i = [hlmass.hl_mass(t, cfg=cfg, ckpt=ckpt) for t in points]
     lps = [LadderPoint(T=t, phi=F_inverse(mi, k), mass=mi)
            for t, mi in zip(points, masses_i)]

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from . import hlmass, zfun
 from .errors import DomainError
-from .ladder import DEFAULT_CONSTANTS, LadderConstants, chord_tan_alpha, phi_at
+from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, chord_tan_alpha, phi_at
 
 SHORT_INTERVAL_ENV_C = 10.0
 LADDER_INCREMENT_C = 10.0  # ladder_increment_checks' envelope / omega
@@ -182,7 +182,6 @@ def ladder_increment_checks(records, omega: float, tau: float = 0.0,
     realized cumulative values match to 1e-9), so no quadrature is needed.
     Reference envelope: LADDER_INCREMENT_C * omega.
     """
-    from .ladder import F_inverse
     pts = [(r.nu, r.T) for r in records]
     if len(pts) < 2:
         raise DomainError("need at least two partition points")

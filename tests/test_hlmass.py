@@ -392,6 +392,22 @@ def test_damped_domain(quad_cfg):
         hlmass.damped_mass(-0.01, cfg=quad_cfg)
 
 
+def test_mass_cell_brackets_the_target(oracle, quad_cfg, shared_ckpt):
+    ck = hlmass.new_checkpoint(quad_cfg)
+    # the cover grows by 1, 2, 4, 8 cells until I(cover) passes the target
+    assert hlmass.mass_cell(oracle["I_10"], quad_cfg, ck) == 9
+    assert ck.int_cover == 15
+    i_1000 = hlmass.hl_mass(1000.0, cfg=quad_cfg, ckpt=shared_ckpt)
+    i_mid = hlmass.hl_mass(1000.25, cfg=quad_cfg, ckpt=shared_ckpt)
+    for target in (i_1000, i_mid, 0.5 * (i_1000 + i_mid), i_1000 + 40.0):
+        m = hlmass.mass_cell(target, quad_cfg, shared_ckpt)
+        assert shared_ckpt.lookup(m) <= target < shared_ckpt.lookup(m + 1)
+    assert hlmass.mass_cell(i_mid, quad_cfg, shared_ckpt) == 1000
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            hlmass.mass_cell(bad, quad_cfg, shared_ckpt)
+
+
 # ---------------------------------------------------------------------------
 # certified-budget enforcement
 # ---------------------------------------------------------------------------
@@ -406,7 +422,11 @@ def test_precision_unreachable_on_tight_budget():
 
 
 def test_envelope_within_budget(quad_cfg):
+    """The envelopes of the cells under I(300.5) and of its partial cell
+    sum to within the budget."""
     ck = hlmass.new_checkpoint(quad_cfg)
-    v = hlmass.hl_mass(300.0, cfg=quad_cfg, ckpt=ck)
-    env = hlmass.checkpoint_env(ck)
-    assert 0.0 < env <= quad_cfg.rel_tol * max(1.0, v)
+    v = hlmass.hl_mass(300.5, cfg=quad_cfg, ckpt=ck)
+    _, cell_envs = hlmass._cells_masses(0, 300, ck.z_policy)
+    _, part_env = hlmass._span_masses((300.0, 300.5), ck.z_policy)
+    env = float(cell_envs.sum() + part_env[0])
+    assert 0.0 < part_env[0] and 0.0 < env <= quad_cfg.rel_tol * max(1.0, v)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from hlq import hlmass, ladder, partition, zfun
-from hlq.errors import DomainError, InsufficientSpan
+from hlq.errors import DomainError, InsufficientSpan, PrecisionUnreachable
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,17 @@ def test_next_point_domain(quad_cfg, shared_ckpt):
         partition.next_point(1000.0, 0.0, cfg=quad_cfg, ckpt=shared_ckpt)
 
 
+@pytest.mark.parametrize("omega", [1e-6, 1e-12, 1e-20])
+def test_unresolvable_omega_is_refused(omega, quad_cfg, shared_ckpt):
+    """At T = 1000 the lattice residual bound is 1e-9 * I ~ 5.2e-6: an omega
+    not above it names no distinct lattice points."""
+    params = partition.PartitionParams(omega=omega, T_start=1000.0, count=3)
+    with pytest.raises(PrecisionUnreachable, match="omega .* residual bound"):
+        partition.generate(params, cfg=quad_cfg, ckpt=shared_ckpt)
+    with pytest.raises(PrecisionUnreachable, match="omega .* residual bound"):
+        partition.next_point(1000.0, omega, cfg=quad_cfg, ckpt=shared_ckpt)
+
+
 # ---------------------------------------------------------------------------
 # generated sequences
 # ---------------------------------------------------------------------------
@@ -64,6 +75,42 @@ def test_generate_on_a_non_default_z_policy(depth2_cfg, depth2_ckpt):
     for r in records[:-1]:
         assert abs(r.mass - params.omega) <= 1e-8
     assert depth2_ckpt.z_config["correction_depth"] == 2
+
+
+def test_lattice_points_do_not_depend_on_the_start(quad_cfg):
+    """Each T_nu is solved inside its own grid cell, so two walks that share
+    a nu share its bits, whatever point came before it."""
+    ck = hlmass.new_checkpoint(quad_cfg)
+    walks = [{r.nu: r.T for r in partition.generate(
+                 partition.PartitionParams(T_start=start, count=30),
+                 cfg=quad_cfg, ckpt=ck)}
+             for start in (1000.0, 1001.0)]
+    shared = sorted(set(walks[0]) & set(walks[1]))
+    assert len(shared) >= 20
+    assert [walks[0][nu] for nu in shared] == [walks[1][nu] for nu in shared]
+
+
+def test_walk_extends_a_cover_below_a_recorded_row(tmp_path, quad_cfg, shared_ckpt):
+    """A checkpoint whose integer cover stops at 1000 below a recorded row at
+    1002.5: the walk past that row fills in the missing cells."""
+    hlmass.hl_mass_probe(1003.0, cfg=quad_cfg, ckpt=shared_ckpt)
+    full = tmp_path / "full.ckpt"
+    hlmass.save_checkpoint(shared_ckpt, str(full))
+    header, *rows = full.read_text().splitlines()
+    kept = [r for r in rows if float(r.split("\t")[0]) <= 1000.0]
+    row = f"1002.5\t{hlmass.hl_mass_probe(1002.5, cfg=quad_cfg, ckpt=shared_ckpt)!r}"
+    path = tmp_path / "gap.ckpt"
+    path.write_text("\n".join([header, *kept, row]) + "\n")
+    ck = hlmass.load_checkpoint(str(path))
+    assert ck.int_cover == 1000 and ck.max_t == 1002.5
+    params = partition.PartitionParams(T_start=1000.0, count=20)
+    records = partition.generate(params, cfg=quad_cfg, ckpt=ck)
+    assert records[-1].T > 1002.5
+    assert ck.int_cover > 1002.5
+    for m in (1001.0, 1002.0, 1003.0):
+        assert ck.lookup(m) == shared_ckpt.lookup(m)
+    for r in records[:-1]:
+        assert abs(r.mass - params.omega) <= 1e-8
 
 
 def test_generate_structure(run150):
