@@ -18,8 +18,8 @@ from .errors import (CheckpointConflict, CheckpointIOError, DomainError,
                      PrecisionUnreachable)
 from .gram import GramRecord, GramSummary, gram_point, gram_spacing_report, gram_t
 from .hlmass import (MassCheckpoint, QuadratureConfig, check_compat,
-                     damped_mass, hl_mass, hl_mass_between, load_checkpoint,
-                     new_checkpoint, save_checkpoint)
+                     damped_mass, damped_masses, hl_mass, hl_mass_between,
+                     load_checkpoint, new_checkpoint, save_checkpoint)
 from .ladder import (DEFAULT_CONSTANTS, LadderConstants, LadderPoint, F_inverse,
                      F_of, F_prime, chord_tan_alpha, phi_at)
 from .partition import (PLANCK_H, MeanGapStat, PartitionParams,
@@ -39,8 +39,8 @@ __all__ = [
     "PrecisionUnreachable",
     "GramRecord", "GramSummary", "gram_point", "gram_spacing_report", "gram_t",
     "MassCheckpoint", "QuadratureConfig", "check_compat", "damped_mass",
-    "hl_mass", "hl_mass_between", "load_checkpoint", "new_checkpoint",
-    "save_checkpoint",
+    "damped_masses", "hl_mass", "hl_mass_between", "load_checkpoint",
+    "new_checkpoint", "save_checkpoint",
     "DEFAULT_CONSTANTS", "LadderConstants", "LadderPoint", "F_inverse",
     "F_of", "F_prime", "chord_tan_alpha", "phi_at",
     "PLANCK_H", "MeanGapStat", "PartitionParams", "PartitionRecord",

@@ -26,26 +26,34 @@ def pairwise_sum(values) -> float:
     return float(vals[0])
 
 
-def safeguarded_newton(f, df, lo: float, hi: float, x0: float, tol: float,
-                       maxiter: int, what: str) -> float:
-    """x in [lo, hi] with |f(x)| <= tol, for f increasing across the bracket.
+def safeguarded_newton(f, df, lo, hi, x0, tol: float, maxiter: int,
+                       what: str) -> np.ndarray:
+    """x_i in [lo_i, hi_i] with |f_i(x_i)| <= tol, for a batch of f_i each
+    increasing across its bracket; ``f(x, i)``, ``df(x, i)`` evaluate f_i
+    at the iterates ``x`` of the problems ``i``, one value per iterate.
 
     Each iterate replaces the bracket end on its side of the root; a Newton
     step that leaves the bracket, or meets df <= 0, becomes the midpoint.
-    Raises NoConvergence naming ``what`` after ``maxiter`` iterates.
+    Converged problems leave the batch, so a root has the bits of its own
+    solve.  Raises NoConvergence naming ``what`` after ``maxiter`` iterates.
     """
-    x = x0
+    lo, hi, x = (np.array(a, dtype=np.float64, ndmin=1) for a in (lo, hi, x0))
+    root = x.copy()
+    act = np.arange(x.size)
     for _ in range(maxiter):
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        d = df(x)
-        x_new = x - fx / d if d > 0.0 else x
-        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+        fx = np.asarray(f(x, act), dtype=np.float64)
+        done = np.abs(fx) <= tol
+        if done.any():
+            root[act[done]] = x[done]
+            act, x, fx, lo, hi = (a[~done] for a in (act, x, fx, lo, hi))
+            if not act.size:
+                return root
+        above = fx > 0.0
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        d = np.asarray(df(x, act), dtype=np.float64)
+        # a step with df <= 0 is 0, which leaves x on a bracket end
+        x_new = x - fx / np.where(d > 0.0, d, np.inf)
+        x = np.where((lo < x_new) & (x_new < hi), x_new, 0.5 * (lo + hi))
     raise NoConvergence(f"{what}: {maxiter} iterations without meeting tolerance")
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import zfun
 from ._util import safeguarded_newton
 from .errors import DomainError, NoConvergence
@@ -19,6 +21,7 @@ from .errors import DomainError, NoConvergence
 # theta has its minimum near 6.29; bracketing from 7.0 keeps every solve on
 # the increasing branch, and theta(7) < -pi covers nu=0 down to tau_bar=-pi
 _BRACKET_LO = 7.0
+_BRACKET_HI = 20.0 * 2.0 ** np.arange(36)  # 20 * 2^k up to 1e12
 _RESIDUAL_TOL = 1e-10
 
 
@@ -35,36 +38,35 @@ class GramRecord:
         return 2.0 * math.pi / math.log(self.t)
 
 
-def _solve_theta(target: float) -> float:
-    """Root of theta(t) = target for t on the increasing branch."""
-    lo = _BRACKET_LO
-    f_lo = zfun.theta(lo) - target
-    if f_lo > 0.0:
-        raise DomainError(f"theta target {target:g} below the increasing branch")
-    hi = 20.0
-    while zfun.theta(hi) < target:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoConvergence("theta bracket expansion failed")
-    return safeguarded_newton(lambda t: zfun.theta(t) - target,
-                              zfun.theta_deriv, lo, hi, 0.5 * (lo + hi),
-                              _RESIDUAL_TOL, 100, "theta solve")
-
-
-def gram_t(nu: int, tau_bar: float = 0.0) -> float:
-    """The (shifted) Gram point alone, without spacing bookkeeping."""
-    if nu < 0:
+def _gram_ts(nus, tau_bar) -> list[float]:
+    """t_nu(tau_bar), nu in ``nus``: theta(t) = nu*pi + tau_bar solved in
+    one lockstep, each bracket ending at the first 20 * 2^k theta reaches."""
+    if any(nu < 0 for nu in nus):
         raise DomainError("gram index must be >= 0")
     tau_bar = float(tau_bar)
     if not (abs(tau_bar) <= math.pi):
         raise DomainError("tau_bar must lie in [-pi, pi]")
-    return _solve_theta(nu * math.pi + tau_bar)
+    targets = np.array([nu * math.pi + tau_bar for nu in nus])
+    if np.any(zfun.theta(_BRACKET_LO) - targets > 0.0):
+        raise DomainError(f"theta target {targets.min():g} below the increasing branch")
+    k = np.searchsorted(zfun.theta_many(_BRACKET_HI), targets)
+    if np.any(k == len(_BRACKET_HI)):
+        raise NoConvergence("theta bracket expansion failed")
+    hi = _BRACKET_HI[k]
+    lo = np.where(k > 0, _BRACKET_HI[k - 1], _BRACKET_LO)
+    return safeguarded_newton(
+        lambda t, i: zfun.theta_many(t) - targets[i],
+        lambda t, i: [zfun.theta_deriv(x) for x in t.tolist()],
+        lo, hi, 0.5 * (lo + hi), _RESIDUAL_TOL, 100, "theta solve").tolist()
+
+
+def gram_t(nu: int, tau_bar: float = 0.0) -> float:
+    """The (shifted) Gram point alone, without spacing bookkeeping."""
+    return _gram_ts([nu], tau_bar)[0]
 
 
 def gram_point(nu: int, tau_bar: float = 0.0) -> GramRecord:
-    t = gram_t(nu, tau_bar)
-    t_next = _solve_theta((nu + 1) * math.pi + tau_bar)
+    t, t_next = _gram_ts([nu, nu + 1], tau_bar)
     return GramRecord(
         nu=nu,
         t=t,
@@ -91,7 +93,7 @@ def gram_spacing_report(nu_from: int, nu_to: int, tau_bar: float = 0.0):
     """
     if not (0 <= nu_from < nu_to):
         raise DomainError("need 0 <= nu_from < nu_to")
-    ts = [gram_t(nu, tau_bar) for nu in range(nu_from, nu_to + 2)]
+    ts = _gram_ts(range(nu_from, nu_to + 2), tau_bar)
     records = []
     for i, nu in enumerate(range(nu_from, nu_to + 1)):
         t = ts[i]

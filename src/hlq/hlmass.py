@@ -275,10 +275,10 @@ def _panel_counts(lo, hi, rule) -> np.ndarray:
 # the span kernel
 # ---------------------------------------------------------------------------
 
-def _span_masses(edges, z_policy: zfun.ZConfig, damp: float = 0.0,
-                 rule=_RULE):
-    """Masses of Z^2 (times exp(-2*damp*t) if ``damp``) over each span
-    [edges[i], edges[i+1]]; returns (values, envelopes) as arrays.
+def _span_masses(edges, z_policy: zfun.ZConfig, damp=0.0, rule=_RULE):
+    """Masses of Z^2 times exp(-2*damp*t) over each span [edges[i],
+    edges[i+1]]; returns (values, envelopes) as arrays, with a leading axis
+    over ``damp`` when it is a sequence.
 
     Every nonempty span gets the unit rule of its panel count, and each run
     of spans with one panel count gets its nodes by one broadcast.  A run of
@@ -286,14 +286,17 @@ def _span_masses(edges, z_policy: zfun.ZConfig, damp: float = 0.0,
     other spans take the pointwise main sum.  Each span's terms are reduced
     in index order by ``np.add.reduceat``, so a span's value does not depend
     on which other spans share its call.  The envelope covers the certified
-    point errors |d(f^2)| <= (2|f|+e)*e plus summation roundoff.
+    point errors |d(f^2)| <= (2|f|+e)*e plus summation roundoff.  Every
+    damp weights the same Z values, independently of the other damps.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    vals = np.zeros(len(edges) - 1)
-    envs = np.zeros(len(edges) - 1)
+    damps = damp if np.ndim(damp) else (damp,)
+    vals = np.zeros((len(damps), len(edges) - 1))
+    envs = np.zeros_like(vals)
+    out = (vals, envs) if np.ndim(damp) else (vals[0], envs[0])
     spans = np.flatnonzero(edges[:-1] < edges[1:])
     if not len(spans):
-        return vals, envs
+        return out
     lo, hi = edges[spans], edges[spans + 1]
     width = hi - lo
     is_cell = (width == 1.0) & (lo == np.floor(lo))
@@ -310,24 +313,25 @@ def _span_masses(edges, z_policy: zfun.ZConfig, damp: float = 0.0,
         i = j
     x, w, f, e = (np.concatenate(col) for col in zip(*parts))
     starts = np.cumsum([0] + sizes[:-1])
-    contrib = w * (f * f)
-    env_terms = w * (2.0 * np.abs(f) + e) * e
-    if damp:
-        att = np.exp(-2.0 * damp * x)
-        contrib = contrib * att
-        env_terms = env_terms * att
-    vals[spans] = np.add.reduceat(contrib, starts)
-    envs[spans] = (np.add.reduceat(env_terms, starts)
-                   + 8.0 * zfun.EPS * np.add.reduceat(np.abs(contrib), starts))
-    return vals, envs
+    undamped = w * (f * f)
+    undamped_env = w * (2.0 * np.abs(f) + e) * e
+    for k, d in enumerate(damps):
+        contrib, env_terms = undamped, undamped_env
+        if d:
+            att = np.exp(-2.0 * d * x)
+            contrib, env_terms = undamped * att, undamped_env * att
+        vals[k][spans] = np.add.reduceat(contrib, starts)
+        envs[k][spans] = (np.add.reduceat(env_terms, starts)
+                          + 8.0 * zfun.EPS * np.add.reduceat(np.abs(contrib), starts))
+    return out
 
 
 _CELL_BLOCK = 256
 
 
 def _cells_masses(m0: int, m1: int, z_policy: zfun.ZConfig, jobs: int = 1,
-                  damp: float = 0.0):
-    """Per-cell masses for integer cells m0..m1-1, worker-count independent."""
+                  damp=0.0):
+    """Per-cell masses for integer cells m0 < m1, worker-count independent."""
     blocks = [range(b, min(b + _CELL_BLOCK, m1) + 1)
               for b in range(m0, m1, _CELL_BLOCK)]
 
@@ -338,9 +342,7 @@ def _cells_masses(m0: int, m1: int, z_policy: zfun.ZConfig, jobs: int = 1,
             results = list(ex.map(block_masses, blocks))
     else:
         results = [block_masses(edges) for edges in blocks]
-    vals = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
-    envs = np.concatenate([r[1] for r in results]) if results else np.zeros(0)
-    return vals, envs
+    return tuple(np.concatenate(col, axis=-1) for col in zip(*results))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +388,9 @@ def _mass_at(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     return anchor_i + float(part[0]), float(part_env[0])
 
 
-def _query(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint | None,
-           jobs: int, record: bool) -> float:
-    """I(t) from the checkpoint grid; with ``record``, check the partial
-    cell's envelope against the budget and store t as a row."""
+def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                     ckpt: MassCheckpoint | None = None, jobs: int = 1):
+    """(I(t), partial-cell envelope), t not recorded; a grid row has env 0."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError("I(T) requires finite T >= 0")
@@ -399,20 +400,25 @@ def _query(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint | None,
     check_compat(ckpt, cfg)
     hit = ckpt.lookup(t)
     if hit is not None:
-        return hit
-    total, part_env = _mass_at(t, cfg, ckpt, jobs)
-    if not record:
-        return total
-    _check_budget(part_env, total, cfg, f"at T={t:g}")
-    ckpt.insert(t, total)
-    return total
+        return hit, 0.0
+    return _mass_at(t, cfg, ckpt, jobs)
+
+
+def record_mass(t: float, value: float, env: float, cfg: QuadratureConfig,
+                ckpt: MassCheckpoint) -> float:
+    """Store I(t) = ``value`` once its partial-cell envelope fits the budget."""
+    t = float(t)
+    _check_budget(env, value, cfg, f"at T={t:g}")
+    ckpt.insert(t, value)
+    return value
 
 
 def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
             ckpt: MassCheckpoint | None = None, jobs: int = 1) -> float:
     """Cumulative mass I(t) under the checkpoint's Z policy (the default
     one for ``ckpt=None``); extends (and reuses) the checkpoint grid."""
-    return _query(t, cfg, ckpt, jobs, record=True)
+    ckpt = new_checkpoint(cfg) if ckpt is None else ckpt
+    return record_mass(t, *hl_mass_envelope(t, cfg, ckpt, jobs), cfg, ckpt)
 
 
 def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -423,7 +429,7 @@ def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     the integer grid plus deliberately requested heights, keeping its bytes
     independent of the search path that produced them.
     """
-    return _query(t, cfg, ckpt, jobs, record=False)
+    return hl_mass_envelope(t, cfg, ckpt, jobs)[0]
 
 
 def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
@@ -470,33 +476,43 @@ def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     return pairwise_sum(vals)
 
 
+def damped_masses(deltas, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                  jobs: int = 1) -> list[float]:
+    """int_0^inf Z(t)^2 exp(-2 delta t) dt for each delta, truncated where
+    the integrand weight reaches ``_DAMPED_TRUNCATION_EPS``; the dropped
+    tail is covered by the analytic bound from ``Z2_ENVELOPE_C`` and must
+    fit the tolerance.  The whole cells below the largest truncation point
+    are integrated once and weighted for every delta.
+    """
+    deltas = [float(d) for d in deltas]
+    if not deltas or not all(0.0 < d <= 1.0 for d in deltas):
+        raise DomainError("damped_mass requires deltas, each 0 < delta <= 1")
+    check_jobs(jobs)
+    t_maxes = [math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * d) for d in deltas]
+    m1s = [int(math.floor(t_max)) for t_max in t_maxes]
+    zc = zfun.DEFAULT_Z_CONFIG
+    vals, envs = _cells_masses(0, max(m1s), zc, jobs=jobs, damp=deltas)
+    totals = []
+    for k, (delta, t_max, m1) in enumerate(zip(deltas, t_maxes, m1s)):
+        pieces = vals[k, :m1].tolist()
+        env = float(envs[k, :m1].sum())
+        if t_max > m1:
+            v, e = _span_masses((float(m1), t_max), zc, damp=delta)
+            pieces.append(float(v[0]))
+            env += float(e[0])
+        # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2),
+        # with Gamma(3/2, x) = sqrt(x) e^-x + (sqrt(pi)/2) erfc(sqrt(x))
+        x = 2.0 * delta * t_max
+        upper_gamma = (math.sqrt(x) * math.exp(-x)
+                       + 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)))
+        env += Z2_ENVELOPE_C * upper_gamma / (2.0 * delta) ** 1.5
+        total = pairwise_sum(pieces)
+        _check_budget(env, total, cfg, f"of the damped integral at delta={delta:g}")
+        totals.append(total)
+    return totals
+
+
 def damped_mass(delta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                 jobs: int = 1) -> float:
-    """int_0^inf Z(t)^2 exp(-2 delta t) dt, truncated where the integrand
-    weight reaches ``_DAMPED_TRUNCATION_EPS``; the dropped tail is covered
-    by the analytic bound from ``Z2_ENVELOPE_C`` and must fit the tolerance.
-    """
-    delta = float(delta)
-    if not (0.0 < delta <= 1.0):
-        raise DomainError("damped_mass requires 0 < delta <= 1")
-    check_jobs(jobs)
-    t_max = math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * delta)
-    m1 = int(math.floor(t_max))
-    zc = zfun.DEFAULT_Z_CONFIG
-    vals, envs = _cells_masses(0, m1, zc, jobs=jobs, damp=delta)
-    pieces = [float(v) for v in vals]
-    env = float(envs.sum())
-    if t_max > m1:
-        v, e = _span_masses((float(m1), t_max), zc, damp=delta)
-        pieces.append(float(v[0]))
-        env += float(e[0])
-    # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2),
-    # with Gamma(3/2, x) = sqrt(x) e^-x + (sqrt(pi)/2) erfc(sqrt(x))
-    x = 2.0 * delta * t_max
-    upper_gamma = (math.sqrt(x) * math.exp(-x)
-                   + 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)))
-    tail = Z2_ENVELOPE_C * upper_gamma / (2.0 * delta) ** 1.5
-    env += tail
-    total = pairwise_sum(pieces)
-    _check_budget(env, total, cfg, f"of the damped integral at delta={delta:g}")
-    return total
+    """``damped_masses`` for the one ``delta``."""
+    return damped_masses([delta], cfg, jobs)[0]

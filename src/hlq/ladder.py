@@ -77,10 +77,11 @@ def F_inverse(v: float, k: LadderConstants = DEFAULT_CONSTANTS) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise NoConvergence("F_inverse bracket expansion failed")
-    return safeguarded_newton(lambda y: F_of(y, k) - v,
-                              lambda y: F_prime(y, k), lo, hi,
-                              min(max(math.sqrt(lo * hi), lo), hi),
-                              1e-12 * max(1.0, abs(v)), 200, "F_inverse")
+    return float(safeguarded_newton(lambda y, _: [F_of(y[0], k) - v],
+                                    lambda y, _: [F_prime(y[0], k)], lo, hi,
+                                    min(max(math.sqrt(lo * hi), lo), hi),
+                                    1e-12 * max(1.0, abs(v)), 200,
+                                    "F_inverse")[0])
 
 
 def phi_at(T: float, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,

@@ -71,21 +71,34 @@ def predicted_gap(T_lo: LadderPoint, T_hi: LadderPoint, omega: float,
 
 def _solve_lattice(target: float, omega: float,
                    cfg: hlmass.QuadratureConfig, ckpt: hlmass.MassCheckpoint,
-                   jobs: int = 1) -> float:
-    """T with I(T) = target, solved by Brent inside its integer grid cell."""
+                   jobs: int = 1):
+    """(T, (I(T), envelope)) with I(T) = target, by Brent in its grid cell."""
     bound = _LATTICE_RTOL * max(1.0, abs(target))
     if not (bound < omega):
         raise PrecisionUnreachable(f"omega {omega:g} is not above the lattice "
                                    f"residual bound {bound:.3g} at target {target:g}")
+    probes = {}
 
     def f(t):
-        return hlmass.hl_mass_probe(t, cfg=cfg, ckpt=ckpt, jobs=jobs) - target
+        if t not in probes:
+            probes[t] = hlmass.hl_mass_envelope(t, cfg=cfg, ckpt=ckpt, jobs=jobs)
+        return probes[t][0] - target
     m = hlmass.mass_cell(target, cfg, ckpt, jobs=jobs)
     root = brentq(f, m, m + 1, xtol=1e-13, rtol=4.0 * zfun.EPS, maxiter=200)
     resid = abs(f(root))
     if resid > bound:
         raise NoConvergence(f"lattice solve residual {resid:.3g} at target {target:g}")
-    return root
+    return root, probes[root]
+
+
+def _seed(params, cfg, ckpt, jobs):
+    """(nu0, T, (I(T), partial-cell envelope)) of ``seed_point``."""
+    i_start = hlmass.hl_mass(params.T_start, cfg=cfg, ckpt=ckpt, jobs=jobs)
+    nu0 = int(math.ceil((i_start - params.tau) / params.omega))
+    target = params.omega * nu0 + params.tau
+    if target == i_start:
+        return nu0, params.T_start, (i_start, 0.0)
+    return (nu0, *_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
 
 
 def seed_point(params: PartitionParams,
@@ -95,12 +108,7 @@ def seed_point(params: PartitionParams,
     """(nu0, T) anchoring the sequence: first lattice point at or above T_start."""
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
-    i_start = hlmass.hl_mass(params.T_start, cfg=cfg, ckpt=ckpt, jobs=jobs)
-    nu0 = int(math.ceil((i_start - params.tau) / params.omega))
-    target = params.omega * nu0 + params.tau
-    if target == i_start:
-        return nu0, params.T_start
-    return nu0, _solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs)
+    return _seed(params, cfg, ckpt, jobs)[:2]
 
 
 def next_point(T_prev: float, omega: float,
@@ -116,7 +124,7 @@ def next_point(T_prev: float, omega: float,
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
     i_prev = hlmass.hl_mass_probe(T_prev, cfg=cfg, ckpt=ckpt, jobs=jobs)
-    return _solve_lattice(i_prev + omega, omega, cfg, ckpt, jobs=jobs)
+    return _solve_lattice(i_prev + omega, omega, cfg, ckpt, jobs=jobs)[0]
 
 
 def generate(params: PartitionParams,
@@ -128,16 +136,17 @@ def generate(params: PartitionParams,
 
     Masses are re-integrated independently of the lattice construction; phi
     values for the chord diagnostics come from the realized cumulative
-    masses at the endpoints.
+    masses at the endpoints, which the solves computed and the grid records.
     """
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
-    nu0, t0 = seed_point(params, cfg, ckpt, jobs=jobs)
-    points = [t0]
+    nu0, *solved = _seed(params, cfg, ckpt, jobs)
+    solves = [solved]
     for i in range(1, params.count + 1):
         target = params.omega * (nu0 + i) + params.tau
-        points.append(_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
-    masses_i = [hlmass.hl_mass(t, cfg=cfg, ckpt=ckpt) for t in points]
+        solves.append(_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
+    points = [t for t, _ in solves]
+    masses_i = [hlmass.record_mass(t, *row, cfg, ckpt) for t, row in solves]
     lps = [LadderPoint(T=t, phi=F_inverse(mi, k), mass=mi)
            for t, mi in zip(points, masses_i)]
 

@@ -93,7 +93,10 @@ def tka_residual(delta: float,
                  cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
                  k: LadderConstants = DEFAULT_CONSTANTS,
                  jobs: int = 1) -> ResidualReport:
-    observed = hlmass.damped_mass(delta, cfg=cfg, jobs=jobs)
+    return _tka_report(delta, hlmass.damped_mass(delta, cfg=cfg, jobs=jobs), k)
+
+
+def _tka_report(delta: float, observed: float, k: LadderConstants):
     leading = tka_leading(delta, k)
     return _report(
         "tka", {"delta": float(delta), "leading": leading, "c0": TKA_C0},
@@ -109,7 +112,8 @@ def tka_ladder(cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
     The residual after the leading term starts at first order, so the
     fitted slope of |residual| against delta should sit near 1.
     """
-    reports = [tka_residual(d, cfg=cfg, k=k, jobs=jobs) for d in TKA_DELTAS]
+    masses = hlmass.damped_masses(TKA_DELTAS, cfg=cfg, jobs=jobs)
+    reports = [_tka_report(d, m, k) for d, m in zip(TKA_DELTAS, masses)]
     xs = [math.log(d) for d in TKA_DELTAS]
     ys = [math.log(abs(r.residual)) for r in reports]
     n = len(xs)

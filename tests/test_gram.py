@@ -68,3 +68,32 @@ def test_gram_spacing_report():
 def test_gram_spacing_report_domain():
     with pytest.raises(DomainError):
         gram.gram_spacing_report(10, 5, 0.0)
+
+
+# t_nu(tau_bar).hex() as the one-point Newton solve gave them before the
+# points were solved in one batch
+FROZEN_GRAM = {
+    (0, -math.pi): "0x1.35574f9050959p+3",
+    (0, 0.0): "0x1.1d87936239755p+4",
+    (1, math.pi / 2): "0x1.97dd37b7b8836p+4",
+    (100, 0.0): "0x1.dd2a494dcd7ffp+7",
+    (1000, 0.0): "0x1.635068ad8badbp+10",
+    (5000, math.pi): "0x1.54a27dfcb4e2fp+12",
+}
+
+
+def test_gram_points_keep_their_bits():
+    for (nu, tau), hex_t in FROZEN_GRAM.items():
+        assert gram.gram_t(nu, tau) == float.fromhex(hex_t)
+
+
+@pytest.mark.parametrize("tau", [-math.pi, 0.0, math.pi / 2, math.pi])
+def test_gram_points_do_not_depend_on_their_batch(tau):
+    """The lockstep solve gives every point the bits of its lone solve."""
+    nus = (0, 1, 99, 100, 1000, 5000)
+    records, _ = gram.gram_spacing_report(0, 5000, tau)
+    for nu in nus:
+        t = gram.gram_t(nu, tau)
+        assert gram.gram_point(nu, tau).t == t
+        assert records[nu].t == t
+        assert records[nu].spacing == gram.gram_t(nu + 1, tau) - t

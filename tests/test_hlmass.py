@@ -385,11 +385,36 @@ def test_damped_budget_is_the_mass_budget():
         hlmass.damped_mass(0.04, cfg=hlmass.QuadratureConfig(rel_tol=1e-10))
 
 
+# damped_mass(delta).hex() along verify.TKA_DELTAS, one integral per delta
+FROZEN_DAMPED = ("0x1.2e74ba8e60519p+4", "0x1.a09573c86d90bp+5",
+                 "0x1.0f65965a41220p+7", "0x1.519650ab6b036p+8")
+
+
+def test_damped_batch_is_each_damped_mass(quad_cfg):
+    deltas = (0.04, 0.02, 0.01, 0.005)
+    batch = hlmass.damped_masses(deltas, cfg=quad_cfg)
+    assert batch == [float.fromhex(h) for h in FROZEN_DAMPED]
+    assert batch == [hlmass.damped_mass(d, cfg=quad_cfg) for d in deltas]
+    assert hlmass.damped_masses(deltas, cfg=quad_cfg, jobs=2) == batch
+
+
+def test_damped_batch_checks_each_budget():
+    # the envelope of delta = 1 fits 0.5 * 4e-10, that of delta = 0.04 not
+    cfg = hlmass.QuadratureConfig(rel_tol=4e-10)
+    hlmass.damped_mass(1.0, cfg=cfg)
+    with pytest.raises(PrecisionUnreachable):
+        hlmass.damped_masses([1.0, 0.04], cfg=cfg)
+
+
 def test_damped_domain(quad_cfg):
     with pytest.raises(DomainError):
         hlmass.damped_mass(0.0, cfg=quad_cfg)
     with pytest.raises(DomainError):
         hlmass.damped_mass(-0.01, cfg=quad_cfg)
+    with pytest.raises(DomainError):
+        hlmass.damped_masses([0.04, 2.0], cfg=quad_cfg)
+    with pytest.raises(DomainError):
+        hlmass.damped_masses([], cfg=quad_cfg)
 
 
 def test_mass_cell_brackets_the_target(oracle, quad_cfg, shared_ckpt):

@@ -1,5 +1,6 @@
 """Equal-mass partitions, gap diagnostics, Planck micro-walks."""
 
+import collections
 import math
 
 import pytest
@@ -88,6 +89,23 @@ def test_lattice_points_do_not_depend_on_the_start(quad_cfg):
     shared = sorted(set(walks[0]) & set(walks[1]))
     assert len(shared) >= 20
     assert [walks[0][nu] for nu in shared] == [walks[1][nu] for nu in shared]
+
+
+def test_walk_integrates_each_partial_cell_once(monkeypatch, quad_cfg):
+    """Brent's last probe, the residual check and the recorded row share
+    one integration of each point's partial cell [m, T]."""
+    seen = collections.Counter()
+    span_masses = hlmass._span_masses
+
+    def counted(edges, *args, **kwargs):
+        if len(edges) == 2:
+            seen[tuple(map(float, edges)), kwargs.get("rule")] += 1
+        return span_masses(edges, *args, **kwargs)
+    monkeypatch.setattr(hlmass, "_span_masses", counted)
+    params = partition.PartitionParams(T_start=1000.0, count=50)
+    partition.generate(params, cfg=quad_cfg, ckpt=hlmass.new_checkpoint(quad_cfg))
+    assert len(seen) > 100
+    assert max(seen.values()) == 1
 
 
 def test_walk_extends_a_cover_below_a_recorded_row(tmp_path, quad_cfg, shared_ckpt):

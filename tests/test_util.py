@@ -1,11 +1,12 @@
-"""Numeric helpers: the Brent root solver."""
+"""Numeric helpers: the Brent root solver and the batched Newton solver."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
-from hlq._util import brentq
+from hlq._util import brentq, safeguarded_newton
 from hlq.errors import DomainError, NoConvergence
 
 
@@ -54,3 +55,46 @@ def test_brentq_errors():
     with pytest.raises(NoConvergence):
         brentq(lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0, 1e-15, 1e-15, 3)
     assert brentq(lambda x: x, 0.0, 1.0, 1e-12, 1e-15, 50) == 0.0
+
+
+def _lone_newton(f, df, lo, hi, x, tol, maxiter):
+    """One problem at a time: the loop the batched solver must reproduce."""
+    for _ in range(maxiter):
+        fx = f(x)
+        if abs(fx) <= tol:
+            return x
+        if fx > 0.0:
+            hi = x
+        else:
+            lo = x
+        d = df(x)
+        x_new = x - fx / d if d > 0.0 else x
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    raise NoConvergence("lone Newton")
+
+
+def test_safeguarded_newton_batch_is_each_lone_solve():
+    """Same root bits as solving each problem alone, with Newton steps that
+    leave the bracket and derivatives <= 0 (every third problem) among them."""
+    rng = random.Random(20261019)
+    problems = []
+    for i in range(300):
+        r, s = rng.uniform(-5.0, 5.0), rng.uniform(0.2, 30.0)
+        lo, hi = r - rng.uniform(0.01, 4.0), r + rng.uniform(0.01, 4.0)
+        f = (lambda r, s: lambda x: math.atan(s * (x - r)) + 0.05 * (x - r) ** 3)(r, s)
+        df = (lambda r, s: lambda x: s / (1.0 + (s * (x - r)) ** 2)
+              + 0.15 * (x - r) ** 2)(r, s) if i % 3 else (lambda x: -1.0)
+        problems.append((f, df, lo, hi, rng.uniform(lo, hi)))
+    lone = [_lone_newton(f, df, lo, hi, x0, 1e-12, 200)
+            for f, df, lo, hi, x0 in problems]
+    batch = safeguarded_newton(
+        lambda x, idx: [problems[i][0](v) for v, i in zip(x.tolist(), idx.tolist())],
+        lambda x, idx: [problems[i][1](v) for v, i in zip(x.tolist(), idx.tolist())],
+        *([p[k] for p in problems] for k in (2, 3, 4)), 1e-12, 200, "batch")
+    assert batch.tolist() == lone
+
+
+def test_safeguarded_newton_no_convergence():
+    with pytest.raises(NoConvergence):
+        safeguarded_newton(lambda x, i: x - 0.3, lambda x, i: -np.ones_like(x),
+                           [0.0, 0.0], [1.0, 1.0], [0.9, 0.3], 0.0, 5, "never")

@@ -42,7 +42,14 @@ def test_theta_deriv_closed_form():
 
 
 def test_theta_many_matches_scalar():
-    ts = np.array([2.5, 9.9, 10.0, 14.0, 100.0, 5000.0])
+    """Each element of a batch has the bits of its scalar evaluation, on
+    both sides of T_SWITCH; the Gram solve relies on it."""
+    rng = np.random.default_rng(20261019)
+    below = np.nextafter(10.0, 0.0)
+    ts = np.concatenate([[2.5, 9.9, below, np.nextafter(below, 0.0), 10.0,
+                          14.0, 100.0, 5000.0],
+                         rng.uniform(7.0, 1e5, 1000),
+                         np.exp(rng.uniform(np.log(7.0), np.log(1e5), 1000))])
     vals = zfun.theta_many(ts)
     for t, v in zip(ts, vals):
         assert v == zfun.theta(float(t))

@@ -43,6 +43,9 @@ COMMANDS = [
     (None, ["gram", "--start", "0", "--count", "100", "--out", "gram.csv"]),
     (None, ["gram", "--start", "50", "--count", "20", "--tau",
             "1.5707963267948966", "--format", "json", "--out", "gram.json"]),
+    (None, ["gram", "--start", "0", "--count", "3", "--tau",
+            "-3.141592653589793", "--out", "gram_lo.csv"]),
+    (None, ["verify", "tka", "--out", "tka.json"]),
     (None, ["verify", "all", "--checkpoint", "verify.ckpt",
             "--out", "verify.json"]),
     (None, ["report", "--count", "20", "--start", "1000",
