@@ -20,8 +20,8 @@ from .gram import GramRecord, GramSummary, gram_point, gram_spacing_report, gram
 from .hlmass import (MassCheckpoint, QuadratureConfig, check_compat,
                      damped_mass, damped_masses, hl_mass, hl_mass_between,
                      load_checkpoint, new_checkpoint, save_checkpoint)
-from .ladder import (DEFAULT_CONSTANTS, LadderConstants, LadderPoint, F_inverse,
-                     F_of, F_prime, chord_tan_alpha, phi_at)
+from .ladder import (LadderPoint, F_inverse, F_of, F_prime, chord_tan_alpha,
+                     phi_at)
 from .partition import (PLANCK_H, MeanGapStat, PartitionParams,
                         PartitionRecord, generate, mean_gap_stat, next_point,
                         planck_sequence, predicted_gap, seed_point)
@@ -41,8 +41,8 @@ __all__ = [
     "MassCheckpoint", "QuadratureConfig", "check_compat", "damped_mass",
     "damped_masses", "hl_mass", "hl_mass_between", "load_checkpoint",
     "new_checkpoint", "save_checkpoint",
-    "DEFAULT_CONSTANTS", "LadderConstants", "LadderPoint", "F_inverse",
-    "F_of", "F_prime", "chord_tan_alpha", "phi_at",
+    "LadderPoint", "F_inverse", "F_of", "F_prime", "chord_tan_alpha",
+    "phi_at",
     "PLANCK_H", "MeanGapStat", "PartitionParams", "PartitionRecord",
     "generate", "mean_gap_stat", "next_point", "planck_sequence",
     "predicted_gap", "seed_point",

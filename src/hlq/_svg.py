@@ -73,7 +73,7 @@ def _axes(f: _Frame, title: str, xlabel: str, ylabel: str):
     else:
         xv = [(t, f"{t:g}") for t in _ticks(f.xlo, f.xhi)]
     for val, lab in xv:
-        x = f.px(val) if not f.log_x else ML + (math.log10(val) - f.xlo) / (f.xhi - f.xlo) * (W - ML - MR)
+        x = f.px(val)
         parts.append(f'<line x1="{_fmt(x)}" y1="{H - MB}" x2="{_fmt(x)}" y2="{H - MB + 4}" stroke="#333"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{H - MB + 16}" text-anchor="middle" font-size="10">{lab}</text>')
     if f.log_y:
@@ -82,7 +82,7 @@ def _axes(f: _Frame, title: str, xlabel: str, ylabel: str):
     else:
         yv = [(t, f"{t:g}") for t in _ticks(f.ylo, f.yhi)]
     for val, lab in yv:
-        y = f.py(val) if not f.log_y else H - MB - (math.log10(val) - f.ylo) / (f.yhi - f.ylo) * (H - MT - MB)
+        y = f.py(val)
         parts.append(f'<line x1="{ML - 4}" y1="{_fmt(y)}" x2="{ML}" y2="{_fmt(y)}" stroke="#333"/>')
         parts.append(f'<text x="{ML - 6}" y="{_fmt(y + 3)}" text-anchor="end" font-size="10">{lab}</text>')
     return parts

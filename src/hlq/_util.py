@@ -110,10 +110,10 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
     raise NoConvergence(f"brentq: {maxiter} iterations without convergence")
 
 
-def check_jobs(jobs) -> None:
-    """A worker count must be an int >= 1 (not a bool, not 2.0)."""
-    if type(jobs) is not int or jobs < 1:
-        raise DomainError(f"jobs must be an int >= 1, got {jobs!r}")
+def check_positive_int(name: str, n) -> None:
+    """A worker or record count must be an int >= 1 (not a bool, not 2.0)."""
+    if type(n) is not int or n < 1:
+        raise DomainError(f"{name} must be an int >= 1, got {n!r}")
 
 
 def fmt17(x: float) -> str:

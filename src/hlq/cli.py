@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import _svg, gram, hlmass, ladder, partition, verify, zfun
-from ._util import atomic_write_text, check_jobs, fmt17
+from ._util import atomic_write_text, check_positive_int, fmt17
 from .errors import DomainError, HlqError
 
 PLANCK_COLUMNS = ("nu", "offset", "gap")
@@ -29,7 +29,7 @@ PLANCK_COLUMNS = ("nu", "offset", "gap")
 def _open_checkpoint(args):
     """(quadrature config, checkpoint) of a command that integrates Z^2:
     the --checkpoint file when it exists, else a new checkpoint."""
-    check_jobs(args.jobs)
+    check_positive_int("jobs", args.jobs)
     cfg = hlmass.QuadratureConfig(rel_tol=args.tol)
     if args.checkpoint and os.path.exists(args.checkpoint):
         ck = hlmass.load_checkpoint(args.checkpoint)
@@ -116,8 +116,7 @@ def _cmd_mass(args) -> int:
 
 def _cmd_ladder(args) -> int:
     cfg, ck = _open_checkpoint(args)
-    p = ladder.phi_at(args.t, cfg=cfg, ckpt=ck,
-                      k=ladder.LadderConstants(c0=args.c0), jobs=args.jobs)
+    p = ladder.phi_at(args.t, cfg=cfg, ckpt=ck, c0=args.c0, jobs=args.jobs)
     _save_checkpoint(args, ck)
     _emit_scalars(
         [("T", fmt17(p.T)), ("phi", fmt17(p.phi)), ("mass", fmt17(p.mass)),
@@ -125,9 +124,9 @@ def _cmd_ladder(args) -> int:
     return 0
 
 
-def _mean_gap_json(records, params, k):
+def _mean_gap_json(records, params):
     try:
-        return asdict(partition.mean_gap_stat(records, params, k))
+        return asdict(partition.mean_gap_stat(records, params))
     except HlqError:
         return None
 
@@ -139,18 +138,17 @@ def _intervals(records):
 
 def _cmd_partition(args) -> int:
     cfg, ck = _open_checkpoint(args)
-    k = ladder.LadderConstants(c0=args.c0)
     params = partition.PartitionParams(
         omega=args.omega, tau=args.tau, T_start=args.start,
         count=args.count, epsilon=args.epsilon)
-    records = partition.generate(params, cfg=cfg, ckpt=ck, k=k,
+    records = partition.generate(params, cfg=cfg, ckpt=ck, c0=args.c0,
                                  jobs=args.jobs)
     _save_checkpoint(args, ck)
     if args.format == "json":
         obj = {
             "params": asdict(params),
             "records": [asdict(r) for r in records],
-            "mean_gap": _mean_gap_json(records, params, k),
+            "mean_gap": _mean_gap_json(records, params),
         }
         _emit_json(obj, args.out)
     else:
@@ -193,7 +191,6 @@ def _verify_reports(kind: str, args, cfg: hlmass.QuadratureConfig,
                     delta: float | None = None):
     """Reports of one ``hlq verify`` kind and any extra top-level keys;
     ``kind="all"`` is also the verify part of ``hlq report``."""
-    k = ladder.LadderConstants(c0=args.c0)
     jobs = args.jobs
     reports = []
     extra = {}
@@ -201,21 +198,22 @@ def _verify_reports(kind: str, args, cfg: hlmass.QuadratureConfig,
         ts = [t] if (kind == "balasubramanian" and t is not None) \
             else [1e3, 3e3, 1e4]
         reports += [verify.balasubramanian_residual(tb, cfg=cfg, ckpt=ck,
-                                                    k=k, jobs=jobs)
+                                                    jobs=jobs)
                     for tb in ts]
     if kind == "tka" and delta is not None:
-        reports.append(verify.tka_residual(delta, cfg=cfg, k=k, jobs=jobs))
+        reports.append(verify.tka_residual(delta, cfg=cfg, jobs=jobs))
     elif kind in ("tka", "all"):
-        reps, slope = verify.tka_ladder(cfg=cfg, k=k, jobs=jobs)
+        reps, slope = verify.tka_ladder(cfg=cfg, jobs=jobs)
         reports += reps
         extra["tka_slope"] = slope
     if kind in ("short_interval", "all"):
         t_si = t if (kind == "short_interval" and t is not None) else 1e4
         reports.append(verify.short_interval_check(
-            t_si, args.epsilon, cfg=cfg, ckpt=ck, k=k, jobs=jobs))
+            t_si, args.epsilon, cfg=cfg, ckpt=ck, c0=args.c0, jobs=jobs))
     if kind in ("ladder", "all"):
         grid = [t] if (kind == "ladder" and t is not None) else [1e3, 1e4]
-        reports += verify.ladder_checks(grid, cfg=cfg, ckpt=ck, k=k, jobs=jobs)
+        reports += verify.ladder_checks(grid, cfg=cfg, ckpt=ck, c0=args.c0,
+                                        jobs=jobs)
     return reports, extra
 
 
@@ -240,8 +238,8 @@ def emit_report(results: dict, output_dir: str) -> None:
     _emit_records(partition.PartitionRecord, body,
                   os.path.join(output_dir, "partition.csv"))
     nus = [r.nu for r in body]
-    k = results["constants"]
-    dens_sharp = [params.omega / (math.log(r.T / zfun.TWO_PI) + 2.0 * k.c)
+    dens_sharp = [params.omega
+                  / (math.log(r.T / zfun.TWO_PI) + 2.0 * zfun.EULER_GAMMA)
                   for r in body]
     dens_asym = [params.omega / math.log(r.T) for r in body]
     _svg.line_plot(
@@ -276,25 +274,23 @@ def emit_report(results: dict, output_dir: str) -> None:
 
 def _cmd_report(args) -> int:
     cfg, ck = _open_checkpoint(args)
-    k = ladder.LadderConstants(c0=args.c0)
     params = partition.PartitionParams(
         omega=args.omega, tau=args.tau, T_start=args.start,
         count=args.count, epsilon=args.epsilon)
-    records = partition.generate(params, cfg=cfg, ckpt=ck, k=k,
+    records = partition.generate(params, cfg=cfg, ckpt=ck, c0=args.c0,
                                  jobs=args.jobs)
     reports, extra = _verify_reports("all", args, cfg, ck)
     reports += verify.ladder_increment_checks(records, params.omega,
-                                              params.tau, k=k)
+                                              params.tau, c0=args.c0)
     gram_records, _ = gram.gram_spacing_report(100, 1000, 0.0)
     _save_checkpoint(args, ck)
     emit_report({
         "partition_records": records,
         "partition_params": params,
-        "constants": k,
         "gram_records": gram_records,
         "verify_reports": reports,
         "tka_slope": extra["tka_slope"],
-        "mean_gap": _mean_gap_json(records, params, k),
+        "mean_gap": _mean_gap_json(records, params),
     }, args.out)
     return 0
 

@@ -66,14 +66,7 @@ def gram_t(nu: int, tau_bar: float = 0.0) -> float:
 
 
 def gram_point(nu: int, tau_bar: float = 0.0) -> GramRecord:
-    t, t_next = _gram_ts([nu, nu + 1], tau_bar)
-    return GramRecord(
-        nu=nu,
-        t=t,
-        tau_bar=tau_bar,
-        spacing=t_next - t,
-        predicted=2.0 * math.pi / math.log(t / zfun.TWO_PI),
-    )
+    return gram_spacing_report(nu, nu, tau_bar)[0][0]
 
 
 @dataclass(frozen=True)
@@ -91,8 +84,8 @@ def gram_spacing_report(nu_from: int, nu_to: int, tau_bar: float = 0.0):
     mean_ratio averages spacing / (2pi/ln(t/2pi)); the _asymptotic variant
     divides by 2pi/ln(t) instead.
     """
-    if not (0 <= nu_from < nu_to):
-        raise DomainError("need 0 <= nu_from < nu_to")
+    if not (0 <= nu_from <= nu_to):
+        raise DomainError("need 0 <= nu_from <= nu_to")
     ts = _gram_ts(range(nu_from, nu_to + 2), tau_bar)
     records = []
     for i, nu in enumerate(range(nu_from, nu_to + 1)):

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import zfun
-from ._util import atomic_write_text, check_jobs, fmt17, pairwise_sum
+from ._util import atomic_write_text, check_positive_int, fmt17, pairwise_sum
 from .errors import (
     CheckpointConflict,
     CheckpointIOError,
@@ -108,11 +108,6 @@ class MassCheckpoint:
         if pos < len(self._ts) and self._ts[pos] == t:
             return self._is[pos]
         return None
-
-    def floor_anchor(self, t: float):
-        """Greatest integer row <= t (always exists up to _int_cover)."""
-        m = float(min(int(math.floor(t)), self._int_cover))
-        return m, self.lookup(m)
 
     def rows(self):
         return zip(self._ts, self._is)
@@ -382,10 +377,10 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
 def _mass_at(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
              jobs: int):
     """(I(t), partial-cell envelope) from the integer grid plus a stub."""
-    _ensure_cover(ckpt, int(math.floor(t)), cfg, jobs)
-    anchor_t, anchor_i = ckpt.floor_anchor(t)
-    part, part_env = _span_masses((anchor_t, t), ckpt.z_policy)
-    return anchor_i + float(part[0]), float(part_env[0])
+    m = math.floor(t)
+    _ensure_cover(ckpt, m, cfg, jobs)
+    part, part_env = _span_masses((float(m), t), ckpt.z_policy)
+    return ckpt.lookup(m) + float(part[0]), float(part_env[0])
 
 
 def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -394,7 +389,7 @@ def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError("I(T) requires finite T >= 0")
-    check_jobs(jobs)
+    check_positive_int("jobs", jobs)
     if ckpt is None:
         ckpt = new_checkpoint(cfg)
     check_compat(ckpt, cfg)
@@ -438,7 +433,7 @@ def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     cover grows by 1, 2, 4, ... cells while I(int_cover) <= target."""
     if not (target >= 0.0 and math.isfinite(target)):
         raise DomainError("mass_cell requires a finite target >= 0")
-    check_jobs(jobs)
+    check_positive_int("jobs", jobs)
     check_compat(ckpt, cfg)
     step = 1
     while ckpt.lookup(float(ckpt.int_cover)) <= target:
@@ -487,7 +482,7 @@ def damped_masses(deltas, cfg: QuadratureConfig = DEFAULT_CONFIG,
     deltas = [float(d) for d in deltas]
     if not deltas or not all(0.0 < d <= 1.0 for d in deltas):
         raise DomainError("damped_mass requires deltas, each 0 < delta <= 1")
-    check_jobs(jobs)
+    check_positive_int("jobs", jobs)
     t_maxes = [math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * d) for d in deltas]
     m1s = [int(math.floor(t_max)) for t_max in t_maxes]
     zc = zfun.DEFAULT_Z_CONFIG

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 from . import hlmass, zfun
-from ._util import brentq
+from ._util import brentq, check_positive_int
 from .errors import DomainError, InsufficientSpan, NoConvergence, PrecisionUnreachable
-from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, LadderPoint, chord_tan_alpha
+from .ladder import A, F_inverse, LadderPoint, chord_tan_alpha
 
 PLANCK_H = 6.6e-27
 _LATTICE_RTOL = 1e-9
@@ -43,8 +43,7 @@ class PartitionParams:
             raise DomainError("tau must be in [0, omega)")
         if not (self.T_start >= 100.0):
             raise DomainError("T_start must be >= 100")
-        if not (1 <= int(self.count)):
-            raise DomainError("count must be >= 1")
+        check_positive_int("count", self.count)
         if not (0.0 < self.epsilon <= 0.05):
             raise DomainError("epsilon must be in (0, 0.05]")
 
@@ -60,10 +59,9 @@ class PartitionRecord:
     rel_gap_err: float | None
 
 
-def predicted_gap(T_lo: LadderPoint, T_hi: LadderPoint, omega: float,
-                  k: LadderConstants = DEFAULT_CONSTANTS) -> float:
+def predicted_gap(T_lo: LadderPoint, T_hi: LadderPoint, omega: float) -> float:
     """Gap implied by the chord identity at realized endpoints."""
-    denom = (math.log(0.5 * T_lo.phi) - k.a) * chord_tan_alpha(T_lo, T_hi)
+    denom = (math.log(0.5 * T_lo.phi) - A) * chord_tan_alpha(T_lo, T_hi)
     if not (denom > 0.0):
         raise DomainError("chord identity denominator must be positive")
     return omega / denom
@@ -130,8 +128,7 @@ def next_point(T_prev: float, omega: float,
 def generate(params: PartitionParams,
              cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
              ckpt: hlmass.MassCheckpoint | None = None,
-             k: LadderConstants = DEFAULT_CONSTANTS,
-             jobs: int = 1) -> list[PartitionRecord]:
+             c0: float = 0.0, jobs: int = 1) -> list[PartitionRecord]:
     """count+1 lattice points as records; the last row is the bare endpoint.
 
     Masses are re-integrated independently of the lattice construction; phi
@@ -147,7 +144,7 @@ def generate(params: PartitionParams,
         solves.append(_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
     points = [t for t, _ in solves]
     masses_i = [hlmass.record_mass(t, *row, cfg, ckpt) for t, row in solves]
-    lps = [LadderPoint(T=t, phi=F_inverse(mi, k), mass=mi)
+    lps = [LadderPoint(T=t, phi=F_inverse(mi, c0), mass=mi)
            for t, mi in zip(points, masses_i)]
 
     masses = [hlmass.hl_mass_between(lo, hi, cfg=cfg, ckpt=ckpt, _recheck=True)
@@ -157,7 +154,7 @@ def generate(params: PartitionParams,
     for i in range(params.count):
         gap = points[i + 1] - points[i]
         tan = chord_tan_alpha(lps[i], lps[i + 1])
-        pred = predicted_gap(lps[i], lps[i + 1], params.omega, k)
+        pred = predicted_gap(lps[i], lps[i + 1], params.omega)
         records.append(PartitionRecord(
             nu=nu0 + i,
             T=points[i],
@@ -187,8 +184,8 @@ class MeanGapStat:
     anchor_t: float
 
 
-def mean_gap_stat(records: list[PartitionRecord], params: PartitionParams,
-                  k: LadderConstants = DEFAULT_CONSTANTS) -> MeanGapStat:
+def mean_gap_stat(records: list[PartitionRecord],
+                  params: PartitionParams) -> MeanGapStat:
     """Mean gap over the span U0 = T^(1/3+2*epsilon) from the first record.
 
     predicted uses the local mean of Z^2, ln(T/2pi) + 2c; the quoted
@@ -207,7 +204,7 @@ def mean_gap_stat(records: list[PartitionRecord], params: PartitionParams,
     n0 = max(i for i in range(1, len(pts)) if pts[i] - t0 <= u0)
     span = pts[n0] - t0
     mean_gap = span / n0
-    dens_sharp = math.log(t0 / zfun.TWO_PI) + 2.0 * k.c
+    dens_sharp = math.log(t0 / zfun.TWO_PI) + 2.0 * zfun.EULER_GAMMA
     pred = params.omega / dens_sharp
     pred_a = params.omega / math.log(t0)
     return MeanGapStat(
@@ -235,9 +232,9 @@ def planck_sequence(T0: float, count: int):
     T0 = float(T0)
     if not (1e3 <= T0 <= 1e5):
         raise DomainError("planck walk requires T0 in [1e3, 1e5]")
-    count = int(count)
-    if not (1 <= count <= 10 ** 6):
-        raise DomainError("count must be in [1, 1e6]")
+    check_positive_int("count", count)
+    if count > 10 ** 6:
+        raise DomainError("count must be <= 1e6")
     omega = PLANCK_H / math.pi
     z = zfun.z_eval(T0, target_abs_err=1e-9)
     if abs(z.z) < 0.5:

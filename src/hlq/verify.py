@@ -1,9 +1,10 @@
 """Residual reports for the asymptotic identities.
 
 Every report is observed - predicted against a reference envelope.  The
-envelopes carry configurable constants because the underlying statements
-fix only exponents, never implied constants; a report is meant to be read,
-not to hard-fail on a constant choice.
+underlying statements fix only exponents, never implied constants, so each
+envelope's constant is an empirical module constant (SHORT_INTERVAL_ENV_C,
+LADDER_INCREMENT_C, TKA_ENV_C); a report is meant to be read, not to
+hard-fail on a constant choice.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from . import hlmass, zfun
 from .errors import DomainError
-from .ladder import DEFAULT_CONSTANTS, F_inverse, LadderConstants, chord_tan_alpha, phi_at
+from .ladder import A, F_inverse, chord_tan_alpha, phi_at
 
 SHORT_INTERVAL_ENV_C = 10.0
 LADDER_INCREMENT_C = 10.0  # ladder_increment_checks' envelope / omega
@@ -57,18 +58,17 @@ def _report(kind, inputs, observed, predicted, bound) -> ResidualReport:
     )
 
 
-def main_term(T: float, k: LadderConstants = DEFAULT_CONSTANTS) -> float:
+def main_term(T: float) -> float:
     """T ln T + (2c - 1 - ln 2pi) T, the smooth part of the second moment."""
     T = float(T)
     if not (T > 0.0):
         raise DomainError("main_term requires T > 0")
-    return T * math.log(T) + (2.0 * k.c - 1.0 - zfun.LN_TWO_PI) * T
+    return T * math.log(T) + (2.0 * zfun.EULER_GAMMA - 1.0 - zfun.LN_TWO_PI) * T
 
 
 def balasubramanian_residual(T: float,
                              cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
                              ckpt: hlmass.MassCheckpoint | None = None,
-                             k: LadderConstants = DEFAULT_CONSTANTS,
                              jobs: int = 1) -> ResidualReport:
     """R(T) = I(T) - main term; reference envelope T^(1/3+0.1)."""
     T = float(T)
@@ -76,28 +76,29 @@ def balasubramanian_residual(T: float,
         raise DomainError("balasubramanian_residual requires T >= 100")
     observed = hlmass.hl_mass(T, cfg=cfg, ckpt=ckpt, jobs=jobs)
     return _report(
-        "balasubramanian", {"T": T}, observed, main_term(T, k),
+        "balasubramanian", {"T": T}, observed, main_term(T),
         T ** (1.0 / 3.0 + 0.1),
     )
 
 
-def tka_leading(delta: float, k: LadderConstants = DEFAULT_CONSTANTS) -> float:
+def tka_leading(delta: float) -> float:
     """(c - ln(4 pi delta)) / (2 sin delta)."""
     delta = float(delta)
     if not (5e-3 <= delta <= 0.1):
         raise DomainError("tka range is [5e-3, 0.1]")
-    return (k.c - math.log(4.0 * math.pi * delta)) / (2.0 * math.sin(delta))
+    return ((zfun.EULER_GAMMA - math.log(4.0 * math.pi * delta))
+            / (2.0 * math.sin(delta)))
 
 
 def tka_residual(delta: float,
                  cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
-                 k: LadderConstants = DEFAULT_CONSTANTS,
                  jobs: int = 1) -> ResidualReport:
-    return _tka_report(delta, hlmass.damped_mass(delta, cfg=cfg, jobs=jobs), k)
+    leading = tka_leading(delta)  # refuses delta before integrating
+    return _tka_report(delta, leading,
+                       hlmass.damped_mass(delta, cfg=cfg, jobs=jobs))
 
 
-def _tka_report(delta: float, observed: float, k: LadderConstants):
-    leading = tka_leading(delta, k)
+def _tka_report(delta: float, leading: float, observed: float):
     return _report(
         "tka", {"delta": float(delta), "leading": leading, "c0": TKA_C0},
         observed, leading + TKA_C0, TKA_ENV_C * float(delta),
@@ -105,7 +106,6 @@ def _tka_report(delta: float, observed: float, k: LadderConstants):
 
 
 def tka_ladder(cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
-               k: LadderConstants = DEFAULT_CONSTANTS,
                jobs: int = 1):
     """Reports along the ``TKA_DELTAS`` ladder plus the fitted log-log slope.
 
@@ -113,7 +113,7 @@ def tka_ladder(cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
     fitted slope of |residual| against delta should sit near 1.
     """
     masses = hlmass.damped_masses(TKA_DELTAS, cfg=cfg, jobs=jobs)
-    reports = [_tka_report(d, m, k) for d, m in zip(TKA_DELTAS, masses)]
+    reports = [_tka_report(d, tka_leading(d), m) for d, m in zip(TKA_DELTAS, masses)]
     xs = [math.log(d) for d in TKA_DELTAS]
     ys = [math.log(abs(r.residual)) for r in reports]
     n = len(xs)
@@ -127,8 +127,7 @@ def tka_ladder(cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
 def short_interval_check(T: float, epsilon: float = 0.01,
                          cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
                          ckpt: hlmass.MassCheckpoint | None = None,
-                         k: LadderConstants = DEFAULT_CONSTANTS,
-                         jobs: int = 1) -> ResidualReport:
+                         c0: float = 0.0, jobs: int = 1) -> ResidualReport:
     """Mass over [T, T+U], U = T^(1/3+2eps), against the chord form
     U * ln(e^-a phi(T)/2) * tan(alpha)."""
     T = float(T)
@@ -139,10 +138,10 @@ def short_interval_check(T: float, epsilon: float = 0.01,
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
     u = T ** (1.0 / 3.0 + 2.0 * epsilon)
-    p1 = phi_at(T, cfg=cfg, ckpt=ckpt, k=k, jobs=jobs)
-    p2 = phi_at(T + u, cfg=cfg, ckpt=ckpt, k=k, jobs=jobs)
+    p1 = phi_at(T, cfg=cfg, ckpt=ckpt, c0=c0, jobs=jobs)
+    p2 = phi_at(T + u, cfg=cfg, ckpt=ckpt, c0=c0, jobs=jobs)
     observed = hlmass.hl_mass_between(T, T + u, cfg=cfg, ckpt=ckpt)
-    predicted = u * (math.log(0.5 * p1.phi) - k.a) * chord_tan_alpha(p1, p2)
+    predicted = u * (math.log(0.5 * p1.phi) - A) * chord_tan_alpha(p1, p2)
     bound = SHORT_INTERVAL_ENV_C * T ** (-1.0 / 3.0 + 4.0 * epsilon)
     return _report(
         "short_interval", {"T": T, "epsilon": float(epsilon), "U": u},
@@ -152,8 +151,7 @@ def short_interval_check(T: float, epsilon: float = 0.01,
 
 def ladder_checks(T_grid, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
                   ckpt: hlmass.MassCheckpoint | None = None,
-                  k: LadderConstants = DEFAULT_CONSTANTS,
-                  jobs: int = 1) -> list[ResidualReport]:
+                  c0: float = 0.0, jobs: int = 1) -> list[ResidualReport]:
     """phi/T band checks: (1.9, 2.0) from T = 1e4 up, (1.7, 2.0) below.
 
     Bands are encoded as residual against the band center with bound the
@@ -168,7 +166,7 @@ def ladder_checks(T_grid, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
         ckpt = hlmass.new_checkpoint(cfg)
     out = []
     for t in grid:
-        p = phi_at(t, cfg=cfg, ckpt=ckpt, k=k, jobs=jobs)
+        p = phi_at(t, cfg=cfg, ckpt=ckpt, c0=c0, jobs=jobs)
         lo, hi = (1.9, 2.0) if t >= 1e4 else (1.7, 2.0)
         center = 0.5 * (lo + hi)
         out.append(_report(
@@ -179,22 +177,16 @@ def ladder_checks(T_grid, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
 
 
 def ladder_increment_checks(records, omega: float, tau: float = 0.0,
-                            k: LadderConstants = DEFAULT_CONSTANTS) -> list[ResidualReport]:
+                            c0: float = 0.0) -> list[ResidualReport]:
     """(phi_(nu+1) - phi_nu) * ln T_nu for consecutive partition points.
 
     phi comes straight from the lattice masses (omega*nu + tau, which the
     realized cumulative values match to 1e-9), so no quadrature is needed.
     Reference envelope: LADDER_INCREMENT_C * omega.
     """
-    pts = [(r.nu, r.T) for r in records]
-    if len(pts) < 2:
+    if len(records) < 2:
         raise DomainError("need at least two partition points")
-    out = []
-    for (nu1, t1), (nu2, _t2) in zip(pts, pts[1:]):
-        f1 = F_inverse(omega * nu1 + tau, k)
-        f2 = F_inverse(omega * nu2 + tau, k)
-        out.append(_report(
-            "ladder_increment", {"nu": nu1, "T": t1},
-            (f2 - f1) * math.log(t1), 0.0, LADDER_INCREMENT_C * omega,
-        ))
-    return out
+    phis = [F_inverse(omega * r.nu + tau, c0) for r in records]
+    return [_report("ladder_increment", {"nu": r.nu, "T": r.T},
+                    (f2 - f1) * math.log(r.T), 0.0, LADDER_INCREMENT_C * omega)
+            for r, f1, f2 in zip(records, phis, phis[1:])]

@@ -398,8 +398,7 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     return out, env
 
 
-def z_eval(t: float, target_abs_err: float = 1e-9,
-           z_config: ZConfig = DEFAULT_Z_CONFIG) -> ZSample:
+def z_eval(t: float, target_abs_err: float = 1e-9) -> ZSample:
     """Z(t) with a certified absolute error at most ``target_abs_err``.
 
     Picks the Riemann-Siegel route when its envelope meets the target
@@ -412,12 +411,10 @@ def z_eval(t: float, target_abs_err: float = 1e-9,
     if not (target_abs_err >= _MIN_TARGET):
         raise DomainError("target_abs_err must be >= 1e-12")
     if t >= T_SWITCH:
-        rs_env = float(
-            rs_truncation_env(t, z_config.correction_depth) + rs_roundoff_env(t)
-        )
+        depth = DEFAULT_Z_CONFIG.correction_depth
+        rs_env = float(rs_truncation_env(t, depth) + rs_roundoff_env(t))
         if rs_env <= target_abs_err:
-            arr = np.array([t])
-            z, env = _z_rs_block(arr, z_config.correction_depth)
+            z, env = _z_rs_block(np.array([t]), depth)
             n_main = int(math.sqrt(t / TWO_PI))
             return ZSample(t, float(z[0]), float(env[0]), n_main, "riemann_siegel")
     z, env, n = _z_reference(np.array([t]))

@@ -23,7 +23,6 @@ class _Ctx:
     def __init__(self, tmp):
         self.cfg = hlmass.QuadratureConfig()
         self.ckpt = hlmass.new_checkpoint(self.cfg)
-        self.k = ladder.DEFAULT_CONSTANTS
         self.tmp = tmp
         self._records500 = None
 
@@ -98,7 +97,7 @@ def test_criterion_04_gap_prediction(capsys, actx):
 def test_criterion_05_mean_gap(capsys, actx):
     params = partition.PartitionParams(T_start=10700.0, count=280)
     recs = partition.generate(params, cfg=actx.cfg, ckpt=actx.ckpt)
-    st = partition.mean_gap_stat(recs, params, actx.k)
+    st = partition.mean_gap_stat(recs, params)
     ok = 0.95 <= st.ratio <= 1.05
     _verdict(capsys, 5, "mean gap law", ok,
              f"anchor T={st.anchor_t:.1f}, window U0={st.u0:.1f} ({st.n0} "
@@ -128,10 +127,8 @@ def test_criterion_07_ladder_bounds(capsys, actx):
     # the certified envelope at T = 1e5 exceeds the 1e-9 budget; the wide
     # points run under an explicit 1e-7 tolerance on a fresh instance
     cfg7 = hlmass.QuadratureConfig(rel_tol=1e-7)
-    reports = verify.ladder_checks([1e4, 3e4, 1e5], cfg=cfg7, ckpt=fresh,
-                                   k=actx.k)
-    increments = verify.ladder_increment_checks(recs, omega=1.0, tau=0.0,
-                                                k=actx.k)
+    reports = verify.ladder_checks([1e4, 3e4, 1e5], cfg=cfg7, ckpt=fresh)
+    increments = verify.ladder_increment_checks(recs, omega=1.0, tau=0.0)
     band_ok = all(r.within_bound for r in reports)
     inc_ok = all(r.within_bound for r in increments)
     ratios = ", ".join(f"phi({r.inputs['T']:g})/T = {r.observed:.4f}"
@@ -143,8 +140,7 @@ def test_criterion_07_ladder_bounds(capsys, actx):
 
 
 def test_criterion_08_short_interval(capsys, actx):
-    r = verify.short_interval_check(1e4, 0.01, cfg=actx.cfg, ckpt=actx.ckpt,
-                                    k=actx.k)
+    r = verify.short_interval_check(1e4, 0.01, cfg=actx.cfg, ckpt=actx.ckpt)
     ok = abs(r.residual) <= 0.5 and r.within_bound
     _verdict(capsys, 8, "short-interval mass", ok,
              f"T=1e4, U={r.inputs['U']:.2f}: observed {r.observed:.4f} vs "
@@ -164,13 +160,13 @@ def test_criterion_09_gram_spacings(capsys):
 
 
 def test_criterion_10_damped_second_moment(capsys, actx):
-    reports, slope = verify.tka_ladder(cfg=actx.cfg, k=actx.k)
+    reports, slope = verify.tka_ladder(cfg=actx.cfg)
     resid = [abs(r.residual) for r in reports]  # delta descending
     decreasing = all(b < a for a, b in zip(resid, resid[1:]))
     halving = all(1.7 <= a / b <= 2.3 for a, b in zip(resid, resid[1:]))
     slope_ok = 0.9 <= slope <= 1.1
     bounds_ok = all(r.within_bound for r in reports)
-    lead = verify.tka_leading(0.01, actx.k)
+    lead = verify.tka_leading(0.01)
     lead_ok = abs(lead - 132.56) <= 0.05
     ok = decreasing and halving and slope_ok and bounds_ok and lead_ok
     _verdict(capsys, 10, "damped second moment", ok,

@@ -148,6 +148,14 @@ def test_gram_csv(capsys):
     assert abs(float(lines[1].split(",")[1]) - 17.845599540410861) < 1e-8
 
 
+def test_gram_count_one_is_the_first_row_of_count_two(capsys):
+    code, one, _ = run_cli(capsys, "gram", "--start", "7", "--count", "1")
+    assert code == 0
+    code, two, _ = run_cli(capsys, "gram", "--start", "7", "--count", "2")
+    assert code == 0
+    assert one.splitlines() == two.splitlines()[:2]
+
+
 def test_out_file_mode_as_plain_open(tmp_path, capsys):
     """--out gives a new file the mode open() would, and keeps an old one's."""
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"

@@ -97,3 +97,11 @@ def test_gram_points_do_not_depend_on_their_batch(tau):
         assert gram.gram_point(nu, tau).t == t
         assert records[nu].t == t
         assert records[nu].spacing == gram.gram_t(nu + 1, tau) - t
+
+
+@pytest.mark.parametrize("tau", [-math.pi, 0.0])
+def test_gram_point_is_the_one_record_report(tau):
+    for nu in (0, 100, 5000):
+        records, summary = gram.gram_spacing_report(nu, nu, tau)
+        assert summary.count == 1
+        assert gram.gram_point(nu, tau) == records[0]

@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 from hlq import ladder
 from hlq.errors import DomainError
 
-K = ladder.DEFAULT_CONSTANTS
-
 
 def test_constants():
-    assert K.c == pytest.approx(0.5772156649015329, abs=1e-15)
-    assert K.a == pytest.approx(0.2606614015078124, abs=1e-15)
-    assert ladder.LadderConstants(c0=2.5).a == K.a
+    assert ladder.EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
+    assert ladder.A == pytest.approx(0.2606614015078124, abs=1e-15)
+    # a = ln 2pi - 1 - c, to the bit
+    assert ladder.A == ladder.LN_TWO_PI - 1.0 - ladder.EULER_GAMMA
 
 
 def test_f_of_closed_form():
     # at y = 2 the h*ln(h) term vanishes: F(2) = c - ln(2 pi)
-    assert ladder.F_of(2.0) == pytest.approx(K.c - ladder.LN_TWO_PI, abs=1e-15)
+    assert ladder.F_of(2.0) == pytest.approx(ladder.EULER_GAMMA - ladder.LN_TWO_PI,
+                                             abs=1e-15)
     # c0 is a pure shift
-    k1 = ladder.LadderConstants(c0=1.0)
-    assert ladder.F_of(77.0, k1) == pytest.approx(ladder.F_of(77.0) + 1.0,
-                                                  abs=1e-12)
+    assert ladder.F_of(77.0, 1.0) == pytest.approx(ladder.F_of(77.0) + 1.0,
+                                                   abs=1e-12)
 
 
 def test_f_prime_is_derivative():

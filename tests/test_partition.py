@@ -161,8 +161,7 @@ def test_generate_lattice_values(run150, quad_cfg, shared_ckpt):
 def test_predicted_gap_formula(quad_cfg, shared_ckpt):
     p1 = ladder.phi_at(1000.0, cfg=quad_cfg, ckpt=shared_ckpt)
     p2 = ladder.phi_at(1000.5, cfg=quad_cfg, ckpt=shared_ckpt)
-    k = ladder.DEFAULT_CONSTANTS
-    want = 1.0 / ((math.log(0.5 * p1.phi) - k.a)
+    want = 1.0 / ((math.log(0.5 * p1.phi) - ladder.A)
                   * ladder.chord_tan_alpha(p1, p2))
     assert partition.predicted_gap(p1, p2, 1.0) == pytest.approx(want,
                                                                  rel=1e-14)
@@ -171,6 +170,7 @@ def test_predicted_gap_formula(quad_cfg, shared_ckpt):
 def test_params_validation():
     for kw in ({"omega": 0.0}, {"omega": 1e7}, {"tau": 1.0},
                {"tau": -0.1}, {"T_start": 10.0}, {"count": 0},
+               {"count": 2.5}, {"count": 2.0}, {"count": True},
                {"epsilon": 0.0}, {"epsilon": 0.2}):
         with pytest.raises(DomainError):
             partition.PartitionParams(**kw)
@@ -251,6 +251,9 @@ def test_planck_domain():
         partition.planck_sequence(10002.0, 0)
     with pytest.raises(DomainError):
         partition.planck_sequence(10002.0, 2 * 10 ** 6)
+    for count in (2.5, 2.0, True):  # counts are ints, never truncated
+        with pytest.raises(DomainError):
+            partition.planck_sequence(10002.0, count)
     # anchor must not sit too close to a zero of Z
     with pytest.raises(DomainError):
         partition.planck_sequence(10000.0, 10)

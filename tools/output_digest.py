@@ -50,6 +50,10 @@ COMMANDS = [
             "--out", "verify.json"]),
     (None, ["report", "--count", "20", "--start", "1000",
             "--checkpoint", "report.ckpt", "--out", "report"]),
+    (None, ["partition", "--start", "1000", "--count", "20", "--c0", "1.5",
+            "--format", "json", "--out", "partition_c0.json"]),
+    (None, ["report", "--count", "20", "--start", "1000", "--c0", "1.5",
+            "--out", "report_c0"]),
 ]
 
 
