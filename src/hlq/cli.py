@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 
 from . import _svg, gram, hlmass, ladder, partition, verify, zfun
 from ._util import atomic_write_text, check_positive_int, fmt17
-from .errors import DomainError, HlqError
+from .errors import HlqError
 
 PLANCK_COLUMNS = ("nu", "offset", "gap")
 
@@ -136,13 +136,18 @@ def _intervals(records):
     return [r for r in records if r.gap is not None]
 
 
-def _cmd_partition(args) -> int:
-    cfg, ck = _open_checkpoint(args)
+def _walk(args, cfg: hlmass.QuadratureConfig, ck: hlmass.MassCheckpoint):
+    """(params, records) of the walk that the ``_add_walk`` options set."""
     params = partition.PartitionParams(
         omega=args.omega, tau=args.tau, T_start=args.start,
         count=args.count, epsilon=args.epsilon)
-    records = partition.generate(params, cfg=cfg, ckpt=ck, c0=args.c0,
-                                 jobs=args.jobs)
+    return params, partition.generate(params, cfg=cfg, ckpt=ck, c0=args.c0,
+                                      jobs=args.jobs)
+
+
+def _cmd_partition(args) -> int:
+    cfg, ck = _open_checkpoint(args)
+    params, records = _walk(args, cfg, ck)
     _save_checkpoint(args, ck)
     if args.format == "json":
         obj = {
@@ -187,40 +192,38 @@ def _cmd_gram(args) -> int:
 
 
 def _verify_reports(kind: str, args, cfg: hlmass.QuadratureConfig,
-                    ck: hlmass.MassCheckpoint, t: float | None = None,
-                    delta: float | None = None):
+                    ck: hlmass.MassCheckpoint):
     """Reports of one ``hlq verify`` kind and any extra top-level keys;
-    ``kind="all"`` is also the verify part of ``hlq report``."""
+    ``kind="all"``, which reads no --t or --delta, is also the verify part
+    of ``hlq report``."""
+    t, delta = (None, None) if kind == "all" else (args.t, args.delta)
     jobs = args.jobs
     reports = []
     extra = {}
     if kind in ("balasubramanian", "all"):
-        ts = [t] if (kind == "balasubramanian" and t is not None) \
-            else [1e3, 3e3, 1e4]
         reports += [verify.balasubramanian_residual(tb, cfg=cfg, ckpt=ck,
                                                     jobs=jobs)
-                    for tb in ts]
-    if kind == "tka" and delta is not None:
-        reports.append(verify.tka_residual(delta, cfg=cfg, jobs=jobs))
-    elif kind in ("tka", "all"):
-        reps, slope = verify.tka_ladder(cfg=cfg, jobs=jobs)
-        reports += reps
-        extra["tka_slope"] = slope
+                    for tb in ([1e3, 3e3, 1e4] if t is None else [t])]
+    if kind in ("tka", "all"):
+        if delta is None:
+            reps, extra["tka_slope"] = verify.tka_ladder(cfg=cfg, jobs=jobs)
+            reports += reps
+        else:
+            reports.append(verify.tka_residual(delta, cfg=cfg, jobs=jobs))
     if kind in ("short_interval", "all"):
-        t_si = t if (kind == "short_interval" and t is not None) else 1e4
         reports.append(verify.short_interval_check(
-            t_si, args.epsilon, cfg=cfg, ckpt=ck, c0=args.c0, jobs=jobs))
+            1e4 if t is None else t, args.epsilon, cfg=cfg, ckpt=ck,
+            c0=args.c0, jobs=jobs))
     if kind in ("ladder", "all"):
-        grid = [t] if (kind == "ladder" and t is not None) else [1e3, 1e4]
-        reports += verify.ladder_checks(grid, cfg=cfg, ckpt=ck, c0=args.c0,
+        reports += verify.ladder_checks([1e3, 1e4] if t is None else [t],
+                                        cfg=cfg, ckpt=ck, c0=args.c0,
                                         jobs=jobs)
     return reports, extra
 
 
 def _cmd_verify(args) -> int:
     cfg, ck = _open_checkpoint(args)
-    reports, extra = _verify_reports(args.kind, args, cfg, ck, args.t,
-                                     args.delta)
+    reports, extra = _verify_reports(args.kind, args, cfg, ck)
     _save_checkpoint(args, ck)
     obj = {"reports": [r.as_dict() for r in reports]}
     obj.update(extra)
@@ -228,13 +231,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def emit_report(results: dict, output_dir: str) -> None:
+def emit_report(output_dir: str, params, records, gram_records, reports,
+                tka_slope, mean_gap) -> None:
     """Write the report bundle: CSV/JSON tables plus SVG plots."""
-    if not results:
-        raise DomainError("emit_report requires nonempty results")
     os.makedirs(output_dir, exist_ok=True)
-    params = results["partition_params"]
-    body = _intervals(results["partition_records"])
+    body = _intervals(records)
     _emit_records(partition.PartitionRecord, body,
                   os.path.join(output_dir, "partition.csv"))
     nus = [r.nu for r in body]
@@ -248,14 +249,12 @@ def emit_report(results: dict, output_dir: str) -> None:
          ("omega/ln T", nus, dens_asym),
          ("omega/(ln(T/2pi)+2c)", nus, dens_sharp)],
         "partition gaps", "nu", "gap")
-    gram_records = results["gram_records"]
     _emit_records(gram.GramRecord, gram_records,
                   os.path.join(output_dir, "gram.csv"))
     _svg.histogram(
         os.path.join(output_dir, "gram_hist.svg"),
         [r.spacing / r.predicted for r in gram_records], 40,
         "Gram spacing over local prediction", "spacing ratio")
-    reports = results["verify_reports"]
     bala = [r for r in reports if r.kind == "balasubramanian"]
     if bala:
         _svg.line_plot(
@@ -267,31 +266,20 @@ def emit_report(results: dict, output_dir: str) -> None:
             "second-moment residual vs main term", "T", "|R(T)|",
             log_x=True, log_y=True)
     _emit_json({"reports": [r.as_dict() for r in reports],
-                "tka_slope": results.get("tka_slope"),
-                "mean_gap": results.get("mean_gap")},
+                "tka_slope": tka_slope, "mean_gap": mean_gap},
                os.path.join(output_dir, "verify.json"))
 
 
 def _cmd_report(args) -> int:
     cfg, ck = _open_checkpoint(args)
-    params = partition.PartitionParams(
-        omega=args.omega, tau=args.tau, T_start=args.start,
-        count=args.count, epsilon=args.epsilon)
-    records = partition.generate(params, cfg=cfg, ckpt=ck, c0=args.c0,
-                                 jobs=args.jobs)
+    params, records = _walk(args, cfg, ck)
     reports, extra = _verify_reports("all", args, cfg, ck)
     reports += verify.ladder_increment_checks(records, params.omega,
                                               params.tau, c0=args.c0)
     gram_records, _ = gram.gram_spacing_report(100, 1000, 0.0)
     _save_checkpoint(args, ck)
-    emit_report({
-        "partition_records": records,
-        "partition_params": params,
-        "gram_records": gram_records,
-        "verify_reports": reports,
-        "tka_slope": extra["tka_slope"],
-        "mean_gap": _mean_gap_json(records, params),
-    }, args.out)
+    emit_report(args.out, params, records, gram_records, reports,
+                extra["tka_slope"], _mean_gap_json(records, params))
     return 0
 
 
@@ -318,6 +306,16 @@ def _add_common(p, fmt=True, checkpoint=True, out_dir=False):
                        help="relative tolerance for cumulative masses")
 
 
+def _add_walk(p, count: int) -> None:
+    """The options of the partition walk that ``_walk`` runs."""
+    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--start", type=float, default=1000.0)
+    p.add_argument("--count", type=int, default=count)
+    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--c0", type=float, default=0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hlq",
@@ -326,39 +324,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("z", help="evaluate Z(t) with a certified error bound")
+    p.set_defaults(run=_cmd_z)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9,
                    help="target absolute error")
     _add_common(p, checkpoint=False)
 
     p = sub.add_parser("theta", help="evaluate the phase function")
+    p.set_defaults(run=_cmd_theta)
     p.add_argument("--t", type=float, required=True)
     _add_common(p, checkpoint=False)
 
     p = sub.add_parser("mass", help="cumulative integral of Z^2 up to T")
+    p.set_defaults(run=_cmd_mass)
     p.add_argument("--t", type=float, required=True)
     _add_common(p)
 
     p = sub.add_parser("ladder", help="ladder point phi(T)")
+    p.set_defaults(run=_cmd_ladder)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--c0", type=float, default=0.0)
     _add_common(p)
 
     p = sub.add_parser("partition", help="equal-mass partition sequence")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--start", type=float, default=1000.0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--c0", type=float, default=0.0)
+    p.set_defaults(run=_cmd_partition)
+    _add_walk(p, count=100)
     _add_common(p)
 
     p = sub.add_parser("planck", help="Planck-quantum micro-interval walk")
+    p.set_defaults(run=_cmd_planck)
     p.add_argument("--t", type=float, required=True, help="anchor T0")
     p.add_argument("--count", type=int, default=1000)
     _add_common(p, checkpoint=False)
 
     p = sub.add_parser("gram", help="(shifted) Gram points and spacings")
+    p.set_defaults(run=_cmd_gram)
     p.add_argument("--start", type=int, default=0, help="first index nu")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--tau", type=float, default=0.0,
@@ -366,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, checkpoint=False)
 
     p = sub.add_parser("verify", help="residual reports for the asymptotics")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("kind", choices=("balasubramanian", "tka",
                                     "short_interval", "ladder", "all"))
     p.add_argument("--t", type=float, default=None)
@@ -375,34 +376,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, fmt=False)
 
     p = sub.add_parser("report", help="write the full report bundle")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--start", type=float, default=1000.0)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--c0", type=float, default=0.0)
+    p.set_defaults(run=_cmd_report)
+    _add_walk(p, count=200)
     _add_common(p, fmt=False, out_dir=True)
 
     return ap
 
 
-_DISPATCH = {
-    "z": _cmd_z,
-    "theta": _cmd_theta,
-    "mass": _cmd_mass,
-    "ladder": _cmd_ladder,
-    "partition": _cmd_partition,
-    "planck": _cmd_planck,
-    "gram": _cmd_gram,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.run(args)
     except HlqError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         return 1

@@ -128,6 +128,9 @@ class MassCheckpoint:
                               f"got ({t!r}, {i_val!r})")
         pos = bisect.bisect_left(self._ts, t)
         if pos < len(self._ts) and self._ts[pos] == t:
+            if self._is[pos] != i_val:
+                raise FormatError(f"row T={fmt17(t)} holds I={fmt17(self._is[pos])}"
+                                  f" but recomputes to {fmt17(i_val)}")
             return
         prev_i = self._is[pos - 1] if pos else 0.0
         next_i = self._is[pos] if pos < len(self._is) else None
@@ -374,15 +377,6 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     ckpt.tol = max(ckpt.tol, cfg.rel_tol)
 
 
-def _mass_at(t: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
-             jobs: int):
-    """(I(t), partial-cell envelope) from the integer grid plus a stub."""
-    m = math.floor(t)
-    _ensure_cover(ckpt, m, cfg, jobs)
-    part, part_env = _span_masses((float(m), t), ckpt.z_policy)
-    return ckpt.lookup(m) + float(part[0]), float(part_env[0])
-
-
 def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                      ckpt: MassCheckpoint | None = None, jobs: int = 1):
     """(I(t), partial-cell envelope), t not recorded; a grid row has env 0."""
@@ -396,7 +390,10 @@ def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     hit = ckpt.lookup(t)
     if hit is not None:
         return hit, 0.0
-    return _mass_at(t, cfg, ckpt, jobs)
+    m = math.floor(t)
+    _ensure_cover(ckpt, m, cfg, jobs)
+    part, part_env = _span_masses((float(m), t), ckpt.z_policy)
+    return ckpt.lookup(m) + float(part[0]), float(part_env[0])
 
 
 def record_mass(t: float, value: float, env: float, cfg: QuadratureConfig,

@@ -164,22 +164,7 @@ def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     Returns (values, remainder_bounds, roundoff_envelopes) with per-point
     bound arrays; the remainder bound is the classical one: first omitted
     term times |s+2M+1|/(sigma+2M+1).
-
-    Memory is bounded by chunking over points, never over terms: each
-    point is always reduced over its full term range in one fixed order,
-    so results do not depend on how a batch was assembled.
     """
-    step = max(64, int(4_000_000 // max(n_terms, 1)))
-    if len(ts) > step:
-        vals = np.empty(ts.shape, dtype=np.complex128)
-        rem = np.empty(ts.shape)
-        ro = np.empty(ts.shape)
-        for i in range(0, len(ts), step):
-            v, r1, r2 = _zeta_em_block(ts[i : i + step], n_terms, m_terms)
-            vals[i : i + step] = v
-            rem[i : i + step] = r1
-            ro[i : i + step] = r2
-        return vals, rem, ro
     s = 0.5 + 1j * ts
     ns = np.arange(1, n_terms, dtype=np.float64)
     logn = np.log(ns)
@@ -189,28 +174,19 @@ def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     val = acc + n * n_pow / (s - 1.0) + 0.5 * n_pow
     bern = _bernoulli_even()
     u = (bern[1] / 2.0) * s / n  # U_1; T_k = N^-s * U_k
-    tail = u.copy()
-    k = 1
-    while k < m_terms:
-        ratio = (
+    tail = np.zeros_like(s)
+    for k in range(1, m_terms + 1):
+        tail += u
+        u = u * (
             (s + (2 * k - 1))
             * (s + 2 * k)
             * (bern[k + 1] / bern[k])
             / ((2 * k + 1) * (2 * k + 2) * n * n)
         )
-        u = u * ratio
-        tail += u
-        k += 1
     val = val + n_pow * tail
-    # first omitted term U_{M+1} with the Backlund factor
-    u_next = u * (
-        (s + (2 * k - 1))
-        * (s + 2 * k)
-        * (bern[k + 1] / bern[k])
-        / ((2 * k + 1) * (2 * k + 2) * n * n)
-    )
+    # u is now the first omitted term U_{M+1}; add the Backlund factor
     sigma_fac = np.abs(s + (2 * m_terms + 1)) / (0.5 + 2 * m_terms + 1)
-    rem_bound = np.abs(n_pow * u_next) * sigma_fac
+    rem_bound = np.abs(n_pow * u) * sigma_fac
     # per-point bounds: a point's envelope must not depend on its batch
     ro = 2.0 * math.sqrt(n) * EPS * np.maximum(1.0, ts * max(1.0, math.log(n))) * 1.5 \
         + (n_terms + m_terms) * EPS * 3.0
@@ -232,18 +208,21 @@ def _z_reference(ts: np.ndarray):
     The Euler-Maclaurin term count N = max(50, floor(0.6 t) + 1), with
     M = 14 correction terms, is a per-point function of t, so runs of
     points sharing one N are evaluated together: a value never depends on
-    which neighbours happened to share its batch.
+    which neighbours happened to share its batch.  Memory is bounded by
+    chunking a run over points, at most 4e6 // N per block, never over
+    terms: each point is reduced over its full term range in one order.
     """
     n_arr = np.maximum(50, np.floor(0.6 * ts).astype(np.int64) + 1)
     out = np.empty_like(ts)
     env = np.empty_like(ts)
-    seg = np.flatnonzero(np.r_[True, np.diff(n_arr) != 0])
-    bounds = np.r_[seg, len(ts)]
-    for si in range(len(seg)):
-        i, j = int(bounds[si]), int(bounds[si + 1])
-        chunk = ts[i:j]
-        vals, rem, ro = _zeta_em_block(chunk, int(n_arr[i]), 14)
-        out[i:j], env[i:j] = _z_from_zeta(chunk, vals, rem + ro)
+    bounds = np.r_[np.flatnonzero(np.r_[True, np.diff(n_arr) != 0]), len(ts)]
+    for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        n = int(n_arr[i])
+        step = max(64, 4_000_000 // n)
+        for a in range(i, j, step):
+            b = min(a + step, j)
+            vals, rem, ro = _zeta_em_block(ts[a:b], n, 14)
+            out[a:b], env[a:b] = _z_from_zeta(ts[a:b], vals, rem + ro)
     return out, env, n_arr
 
 

@@ -321,6 +321,26 @@ def test_insert_refuses_rows_the_file_would_refuse(tmp_path, quad_cfg):
     assert list(hlmass.load_checkpoint(path).rows()) == list(ck.rows())
 
 
+def test_insert_refuses_a_row_its_recomputation_disagrees_with(
+        tmp_path, quad_cfg, shared_ckpt):
+    """Extending the grid through a loaded row above the cover recomputes
+    that row; a stored value off by 1e-3 is a format error, not kept.  An
+    equal re-record, here the row 0, is accepted."""
+    hlmass.hl_mass(1005.0, cfg=quad_cfg, ckpt=shared_ckpt)
+    i_1003 = shared_ckpt.lookup(1003.0)
+    ck = hlmass.new_checkpoint(quad_cfg)
+    for t, v in shared_ckpt.rows():
+        if t <= 1000.0:
+            ck.insert(t, v)
+    ck.insert(1003.0, i_1003 - 1e-3)
+    path = str(tmp_path / "shifted.ckpt")
+    hlmass.save_checkpoint(ck, path)
+    loaded = hlmass.load_checkpoint(path)
+    assert loaded.int_cover == 1000
+    with pytest.raises(FormatError, match="T=1003"):
+        hlmass.hl_mass(1005.0, cfg=quad_cfg, ckpt=loaded)
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------

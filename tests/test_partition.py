@@ -242,6 +242,17 @@ def test_planck_sequence_exact_quanta():
     assert {gap for _, gap in walk} == {walk[0][1]}
 
 
+def test_planck_offsets_are_products():
+    steps = partition.planck_sequence(10002.0, 10 ** 5)
+    gap = steps[0][1]
+    assert all(o == k * gap for k, (o, _) in enumerate(steps))
+    pinned = {1: "0x1.2d0aeacd38a83p-91", 3: "0x1.c3906033d4fc4p-90",
+              12345: "0x1.c5a89ba612893p-78", 65537: "0x1.2d0c17d823757p-75",
+              99999: "0x1.cb599b7c79c67p-75"}
+    for k, bits in pinned.items():
+        assert steps[k][0].hex() == bits, k
+
+
 def test_planck_domain():
     with pytest.raises(DomainError):
         partition.planck_sequence(500.0, 10)

@@ -141,6 +141,20 @@ def test_em_remainder_far_below_the_envelope():
         assert rem[0] < 1e-14, t
 
 
+def test_em_chunked_run_matches_slices():
+    """One N = 361 run of 12,000 points is evaluated in chunks of 11,080 and
+    920 points; its bits equal those of 1,000-point slices."""
+    ts = np.linspace(600.0, 601.6, 12000)
+    z, env = zfun.z_many(ts)
+    parts = [zfun.z_many(ts[i:i + 1000]) for i in range(0, len(ts), 1000)]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), z)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), env)
+    pinned = {0: "0x1.55f655ff24e03p+1", 11079: "0x1.fb50c8cf70a67p-2",
+              11080: "0x1.fab8dd59f33fdp-2", 11999: "0x1.f2fdc0caf424bp-8"}
+    for i, bits in pinned.items():
+        assert float(z[i]).hex() == bits, i
+
+
 def test_z_eval_precision_unreachable():
     with pytest.raises(PrecisionUnreachable):
         zfun.z_eval(50000.0, target_abs_err=1e-12)

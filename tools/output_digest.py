@@ -48,6 +48,13 @@ COMMANDS = [
     (None, ["verify", "tka", "--out", "tka.json"]),
     (None, ["verify", "all", "--checkpoint", "verify.ckpt",
             "--out", "verify.json"]),
+    (None, ["verify", "balasubramanian", "--t", "2000",
+            "--out", "verify_bala.json"]),
+    (None, ["verify", "tka", "--delta", "0.01", "--out", "tka_delta.json"]),
+    (None, ["verify", "short_interval", "--t", "2000", "--epsilon", "0.02",
+            "--out", "verify_si.json"]),
+    (None, ["verify", "ladder", "--t", "5000", "--c0", "1.5",
+            "--out", "verify_ladder.json"]),
     (None, ["report", "--count", "20", "--start", "1000",
             "--checkpoint", "report.ckpt", "--out", "report"]),
     (None, ["partition", "--start", "1000", "--count", "20", "--c0", "1.5",
