@@ -25,10 +25,12 @@ only on its own edges, not on the spans batched with it.
 
 Checkpoints
 -----------
-Cumulative values are anchored at every integer plus every requested T, so
-any value is reproducible from its own coordinates alone; the checkpoint
-file (JSON header line, then "T<TAB>I" rows at 17 significant digits) is
-therefore byte-identical across reruns and worker counts.
+The checkpoint stores the integer grid only: row m holds I(m), the sum of
+the whole cells below m.  A query at any other T adds the partial cell
+[floor(T), T] to I(floor(T)), so every value is reproducible from its own
+coordinates alone, and the checkpoint file (JSON header line, then
+"T<TAB>I" rows T = 0, 1, ..., n at 17 significant digits) is byte-identical
+across reruns, worker counts and the heights that were asked for.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import (
     PrecisionUnreachable,
 )
 
-CHECKPOINT_VERSION = "4"
+CHECKPOINT_VERSION = "5"
 
 # (Gauss-Legendre nodes per panel, widest panel): the fixed rule, and the
 # finer one the partition recheck integrates each interval with again
@@ -82,16 +84,15 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 class MassCheckpoint:
-    """In-memory cumulative grid under one Z policy, ``z_policy``, which every
-    extension uses; see module docstring for the file format."""
+    """In-memory integer grid, row m holding I(m), under one Z policy,
+    ``z_policy``, which every extension uses; see module docstring for the
+    file format."""
 
     def __init__(self, tol: float, z_policy: zfun.ZConfig):
         self.version = CHECKPOINT_VERSION
         self.tol = float(tol)
         self.z_policy = z_policy
-        self._ts: list[float] = [0.0]
-        self._is: list[float] = [0.0]
-        self._int_cover = 0  # all integers 0.._int_cover are present
+        self._is: list[float] = [0.0]  # _is[m] = I(m)
 
     @property
     def z_config(self) -> dict:
@@ -100,66 +101,33 @@ class MassCheckpoint:
 
     # -- queries ------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ts)
+        return len(self._is)
 
     def lookup(self, t: float):
-        t = float(t)
-        pos = bisect.bisect_left(self._ts, t)
-        if pos < len(self._ts) and self._ts[pos] == t:
-            return self._is[pos]
+        """I(t) for an integer t on the grid, else None."""
+        if 0.0 <= t < len(self._is) and t == int(t):
+            return self._is[int(t)]
         return None
 
     def rows(self):
-        return zip(self._ts, self._is)
-
-    @property
-    def max_t(self) -> float:
-        return self._ts[-1]
+        return ((float(m), v) for m, v in enumerate(self._is))
 
     @property
     def int_cover(self) -> int:
-        return self._int_cover
+        return len(self._is) - 1
 
     # -- mutation -----------------------------------------------------
-    def insert(self, t: float, i_val: float) -> None:
-        t = float(t)
-        if not (math.isfinite(t) and t >= 0.0 and math.isfinite(i_val)):
-            raise FormatError(f"insert needs finite T >= 0 and finite I, "
-                              f"got ({t!r}, {i_val!r})")
-        pos = bisect.bisect_left(self._ts, t)
-        if pos < len(self._ts) and self._ts[pos] == t:
-            if self._is[pos] != i_val:
-                raise FormatError(f"row T={fmt17(t)} holds I={fmt17(self._is[pos])}"
-                                  f" but recomputes to {fmt17(i_val)}")
-            return
-        prev_i = self._is[pos - 1] if pos else 0.0
-        next_i = self._is[pos] if pos < len(self._is) else None
-        if i_val < prev_i or (next_i is not None and i_val > next_i):
-            raise FormatError("insert would break monotonicity of the grid")
-        self._ts.insert(pos, t)
-        self._is.insert(pos, i_val)
-        if t == float(self._int_cover + 1):
-            self._extend_cover()
-
-    def _append_cells(self, values) -> None:
-        """Rows int_cover + 1, int_cover + 2, ... holding ``values``: one
-        bulk append when no row lies above the cover, else row by row."""
-        m0 = self._int_cover
-        if self._ts[-1] != m0:
-            for m, v in enumerate(values, start=m0 + 1):
-                self.insert(float(m), v)
-            return
-        if not all(map(math.isfinite, values)):
-            raise FormatError("insert needs finite I")
-        self._ts.extend(float(m) for m in range(m0 + 1, m0 + 1 + len(values)))
+    def insert(self, values) -> None:
+        """Append I(int_cover + 1), I(int_cover + 2), ... = ``values``; a
+        value that is not finite or falls below the row before it refuses
+        the whole batch."""
+        prev = self._is[-1]
+        for m, v in enumerate(values, start=len(self._is)):
+            if not (math.isfinite(v) and v >= prev):
+                raise FormatError(f"row T={m} would hold I={v!r}, "
+                                  f"not finite or below I({m - 1})={prev!r}")
+            prev = v
         self._is.extend(values)
-        self._int_cover = m0 + len(values)
-
-    def _extend_cover(self) -> None:
-        m = self._int_cover
-        while self.lookup(m + 1) is not None:
-            m += 1
-        self._int_cover = m
 
 
 def new_checkpoint(cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -211,7 +179,7 @@ def load_checkpoint(path: str) -> MassCheckpoint:
         ck = MassCheckpoint(tol, zfun.ZConfig(**zc))
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
-    ts, is_ = [], []
+    is_ = []
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
@@ -222,21 +190,14 @@ def load_checkpoint(path: str) -> MassCheckpoint:
             t, v = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise FormatError(f"line {ln_no}: {exc}") from exc
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise FormatError(f"line {ln_no}: non-finite value")
-        ts.append(t)
+        if t != len(is_):
+            raise FormatError(f"line {ln_no}: row T={parts[0]} where "
+                              f"T={len(is_)} is due")
         is_.append(v)
-    if ts:
-        if ts[0] != 0.0 or is_[0] != 0.0:
+    if is_:
+        if is_[0] != 0.0:
             raise FormatError("first row must be 0<TAB>0")
-        dt = np.diff(ts)
-        if np.any(dt <= 0):
-            raise FormatError("T column must be strictly increasing")
-        if np.any(np.diff(is_) < 0):
-            raise FormatError("I column must be nondecreasing")
-        ck._ts = ts
-        ck._is = is_
-        ck._extend_cover()
+        ck.insert(is_[1:])
     return ck
 
 
@@ -347,13 +308,16 @@ def _cells_masses(m0: int, m1: int, z_policy: zfun.ZConfig, jobs: int = 1,
 # public integration API
 # ---------------------------------------------------------------------------
 
-def _check_budget(env: float, value: float, cfg: QuadratureConfig, where: str):
-    """The one budget rule: an envelope must fit 0.5*rel_tol*max(1, |value|)."""
+def check_budget(value: float, env: float, cfg: QuadratureConfig,
+                 where: str) -> float:
+    """The one budget rule: an envelope must fit 0.5*rel_tol*max(1, |value|);
+    returns ``value``."""
     budget = 0.5 * cfg.rel_tol * max(1.0, abs(value))
     if env > budget:
         raise PrecisionUnreachable(
             f"certified envelope {env:.3g} exceeds budget {budget:.3g} {where}"
         )
+    return value
 
 
 def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
@@ -367,19 +331,19 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     """
     if target_m <= ckpt.int_cover:
         return
-    m0 = ckpt.int_cover
-    vals, envs = _cells_masses(m0, target_m, ckpt.z_policy, jobs=jobs)
-    anchor = ckpt.lookup(float(m0))
-    _check_budget(float(envs.sum()), anchor + float(vals.sum()), cfg,
-                  f"extending to T={target_m}")
+    vals, envs = _cells_masses(ckpt.int_cover, target_m, ckpt.z_policy, jobs=jobs)
+    anchor = ckpt._is[-1]
+    check_budget(anchor + float(vals.sum()), float(envs.sum()), cfg,
+                 f"extending to T={target_m}")
     running = list(itertools.accumulate(vals.tolist(), initial=anchor))
-    ckpt._append_cells(running[1:])
+    ckpt.insert(running[1:])
     ckpt.tol = max(ckpt.tol, cfg.rel_tol)
 
 
 def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                      ckpt: MassCheckpoint | None = None, jobs: int = 1):
-    """(I(t), partial-cell envelope), t not recorded; a grid row has env 0."""
+    """(I(t), partial-cell envelope) with the envelope unchecked, for the
+    probes of a root solve; a grid row has envelope 0."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError("I(T) requires finite T >= 0")
@@ -396,32 +360,22 @@ def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return ckpt.lookup(m) + float(part[0]), float(part_env[0])
 
 
-def record_mass(t: float, value: float, env: float, cfg: QuadratureConfig,
-                ckpt: MassCheckpoint) -> float:
-    """Store I(t) = ``value`` once its partial-cell envelope fits the budget."""
-    t = float(t)
-    _check_budget(env, value, cfg, f"at T={t:g}")
-    ckpt.insert(t, value)
-    return value
-
-
 def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
             ckpt: MassCheckpoint | None = None, jobs: int = 1) -> float:
     """Cumulative mass I(t) under the checkpoint's Z policy (the default
-    one for ``ckpt=None``); extends (and reuses) the checkpoint grid."""
-    ckpt = new_checkpoint(cfg) if ckpt is None else ckpt
-    return record_mass(t, *hl_mass_envelope(t, cfg, ckpt, jobs), cfg, ckpt)
+    one for ``ckpt=None``); extends (and reuses) the checkpoint grid and
+    checks the partial cell's envelope against the budget."""
+    return check_budget(*hl_mass_envelope(t, cfg, ckpt, jobs), cfg,
+                        f"at T={float(t):g}")
 
 
 def hl_mass_probe(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                   ckpt: MassCheckpoint | None = None, jobs: int = 1) -> float:
-    """I(t) without recording t itself in the grid.
-
-    Root-finding probes go through here so a checkpoint only ever contains
-    the integer grid plus deliberately requested heights, keeping its bytes
-    independent of the search path that produced them.
-    """
-    return hl_mass_envelope(t, cfg, ckpt, jobs)[0]
+    """``hl_mass`` under the name ``partition.next_point`` calls it by, so
+    that a trace tells the walk's queries from a caller's.  Like every
+    query it stores only whole cells of the integer grid."""
+    return check_budget(*hl_mass_envelope(t, cfg, ckpt, jobs), cfg,
+                        f"at T={float(t):g}")
 
 
 def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
@@ -433,11 +387,10 @@ def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     check_positive_int("jobs", jobs)
     check_compat(ckpt, cfg)
     step = 1
-    while ckpt.lookup(float(ckpt.int_cover)) <= target:
+    while ckpt._is[-1] <= target:
         _ensure_cover(ckpt, ckpt.int_cover + step, cfg, jobs)
         step *= 2
-    pos = bisect.bisect_right(ckpt._is, target)
-    return math.floor(ckpt._ts[pos - 1])
+    return bisect.bisect_right(ckpt._is, target) - 1
 
 
 def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -499,7 +452,7 @@ def damped_masses(deltas, cfg: QuadratureConfig = DEFAULT_CONFIG,
                        + 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)))
         env += Z2_ENVELOPE_C * upper_gamma / (2.0 * delta) ** 1.5
         total = pairwise_sum(pieces)
-        _check_budget(env, total, cfg, f"of the damped integral at delta={delta:g}")
+        check_budget(total, env, cfg, f"of the damped integral at delta={delta:g}")
         totals.append(total)
     return totals
 

@@ -133,7 +133,7 @@ def generate(params: PartitionParams,
 
     Masses are re-integrated independently of the lattice construction; phi
     values for the chord diagnostics come from the realized cumulative
-    masses at the endpoints, which the solves computed and the grid records.
+    masses at the endpoints, which the solves computed and the budget checks.
     """
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
@@ -143,7 +143,7 @@ def generate(params: PartitionParams,
         target = params.omega * (nu0 + i) + params.tau
         solves.append(_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
     points = [t for t, _ in solves]
-    masses_i = [hlmass.record_mass(t, *row, cfg, ckpt) for t, row in solves]
+    masses_i = [hlmass.check_budget(*row, cfg, f"at T={t:g}") for t, row in solves]
     lps = [LadderPoint(T=t, phi=F_inverse(mi, c0), mass=mi)
            for t, mi in zip(points, masses_i)]
 

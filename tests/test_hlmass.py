@@ -26,10 +26,12 @@ def test_mass_reference_values(oracle, quad_cfg, shared_ckpt):
 def test_mass_zero_and_lookup(quad_cfg, shared_ckpt):
     assert hlmass.hl_mass(0.0, cfg=quad_cfg, ckpt=shared_ckpt) == 0.0
     v1 = hlmass.hl_mass(123.456, cfg=quad_cfg, ckpt=shared_ckpt)
-    # second call is a pure lookup and must return the identical float
+    # only the integer grid is stored: the second call recomputes the same
+    # partial cell on I(123) and must return the identical float
+    assert shared_ckpt.lookup(123.456) is None
     v2 = hlmass.hl_mass(123.456, cfg=quad_cfg, ckpt=shared_ckpt)
     assert v1 == v2
-    assert shared_ckpt.lookup(123.456) == v1
+    assert shared_ckpt.lookup(123.0) is not None
 
 
 def test_mass_monotone(quad_cfg, shared_ckpt):
@@ -51,6 +53,20 @@ def test_probe_does_not_insert(quad_cfg, shared_ckpt):
     v = hlmass.hl_mass_probe(259.25, cfg=quad_cfg, ckpt=shared_ckpt)
     assert shared_ckpt.lookup(259.25) is None
     assert v == hlmass.hl_mass(259.25, cfg=quad_cfg, ckpt=shared_ckpt)
+
+
+def test_probe_checks_the_budget():
+    """A probe's partial-cell envelope is held to the budget as hl_mass's
+    is: at rel_tol 1e-11 the envelope of [0, 0.5] is about 37 times it."""
+    cfg = hlmass.QuadratureConfig(rel_tol=1e-11)
+    ck = hlmass.new_checkpoint(cfg)
+    for query in (hlmass.hl_mass, hlmass.hl_mass_probe):
+        with pytest.raises(PrecisionUnreachable, match="T=0.5"):
+            query(0.5, cfg=cfg, ckpt=ck)
+    # the unchecked envelope is still there for a root solve's inner probes
+    _, env = hlmass.hl_mass_envelope(0.5, cfg=cfg, ckpt=ck)
+    assert env > 0.5 * cfg.rel_tol
+    assert list(ck.rows()) == [(0.0, 0.0)]
 
 
 def test_probe_leaves_no_trace_in_file(tmp_path, quad_cfg):
@@ -82,22 +98,13 @@ def test_extension_path_independent(quad_cfg):
         hlmass.hl_mass(t, cfg=quad_cfg, ckpt=a)
     b = hlmass.new_checkpoint(quad_cfg)
     hlmass.hl_mass(290.0, cfg=quad_cfg, ckpt=b)
-    rows_a = dict(a.rows())
-    for t, v in b.rows():
-        assert rows_a[t] == v
+    assert list(a.rows()) == list(b.rows())
     # one cell per extension from t = 0 up, where a cell is a large share
     # of the running sum: a lone cell must reduce exactly as in a block
     c = hlmass.new_checkpoint(quad_cfg)
     for m in range(60):
         hlmass.hl_mass(m + 0.5, cfg=quad_cfg, ckpt=c)
-    rows_b = dict(b.rows())
-    for t, v in c.rows():
-        if t == int(t):
-            assert rows_b[t] == v
-
-
-def _integer_rows(ck):
-    return [(t, v) for t, v in ck.rows() if t == int(t)]
+    assert list(c.rows()) == list(b.rows())[:60]
 
 
 @pytest.mark.parametrize("z_policy", [zfun.DEFAULT_Z_CONFIG,
@@ -117,7 +124,7 @@ def test_extension_path_independent_on_the_lattice(z_policy):
     # uneven steps whose 256-cell blocks end at other cells than one's
     for t in (761.0, 1016.0, 1017.0, 1023.0, 1280.0, 1281.0, 1300.0):
         hlmass.hl_mass(t, cfg=cfg, ckpt=steps)
-    assert _integer_rows(steps) == _integer_rows(one)
+    assert list(steps.rows()) == list(one.rows())
     assert len(one) == 1301
 
 
@@ -250,10 +257,14 @@ def _edit_header(lines, edit):
      "version 2"),
     (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"3"')] + L[1:],
      "version 3"),
+    (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"4"')] + L[1:],
+     "version 4"),
     (lambda L: [L[0]] + L[2:], "missing 0 row"),
     (lambda L: L + ["5\tnot_a_number"], "bad float"),
     (lambda L: L + [L[-1]], "duplicate T"),
-    (lambda L: L + [f"{float(len(L))}\t0.0" ], "decreasing I"),
+    (lambda L: L + [f"{float(len(L) - 1)}\t0.0"], "decreasing I"),
+    (lambda L: L + [f"{len(L) - 1.5}\t{L[-1].split()[1]}"], "non-integer T"),
+    (lambda L: L + [f"{len(L) + 1}\t1e9"], "gap"),
     (lambda L: L + ["1e400\t1"], "non-finite"),
     (lambda L: _edit_header(L, lambda h: h.update(tol=math.nan)), "tol NaN"),
     (lambda L: _edit_header(L, lambda h: h.update(tol=0.0)), "tol 0"),
@@ -298,47 +309,60 @@ def test_coarser_extension_records_new_tol(quad_cfg):
     assert ck.tol == 1e-6
 
 
+def test_checkpoint_refuses_a_shifted_partial_row(tmp_path, quad_cfg,
+                                                  shared_ckpt):
+    """A row 300.5 holding I(300.5) - 1e-3 is refused, not served to
+    hl_mass(300.5) 1e-3 low: the T column is the integer grid."""
+    i_mid = hlmass.hl_mass(300.5, cfg=quad_cfg, ckpt=shared_ckpt)
+    full = tmp_path / "full.ckpt"
+    hlmass.save_checkpoint(shared_ckpt, str(full))
+    lines = full.read_text().splitlines()[:302]
+    bad = tmp_path / "shifted.ckpt"
+    bad.write_text("\n".join(lines + [f"300.5\t{i_mid - 1e-3!r}"]) + "\n")
+    with pytest.raises(FormatError, match="line 303: row T=300.5 where T=301 is due"):
+        hlmass.load_checkpoint(str(bad))
+
+
 def test_insert_monotonicity_guard(quad_cfg):
+    """A batch with a value below the row before it is refused whole."""
     ck = hlmass.new_checkpoint(quad_cfg)
     hlmass.hl_mass(10.0, cfg=quad_cfg, ckpt=ck)
-    with pytest.raises(FormatError):
-        ck.insert(5.5, 1e9)
-    with pytest.raises(FormatError):
-        ck.insert(5.5, -1.0)
+    rows = list(ck.rows())
+    top = ck.lookup(10.0)
+    for values in ([top - 1e-9], [-1.0], [top + 1.0, top + 0.5]):
+        with pytest.raises(FormatError):
+            ck.insert(values)
+        assert list(ck.rows()) == rows
 
 
 def test_insert_refuses_rows_the_file_would_refuse(tmp_path, quad_cfg):
     """insert takes only rows that load_checkpoint reads back."""
     ck = hlmass.new_checkpoint(quad_cfg)
-    for t, i_val in ((-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
-                     (5.5, math.inf), (5.5, math.nan)):
+    for values in ([-1.0], [math.inf], [math.nan], [1.0, math.nan]):
         with pytest.raises(FormatError):
-            ck.insert(t, i_val)
-    assert list(ck.rows()) == [(0.0, 0.0)]
-    ck.insert(5.5, 1.0)
+            ck.insert(values)
+        assert list(ck.rows()) == [(0.0, 0.0)]
+    ck.insert([1.0, 2.5])
     path = str(tmp_path / "c.ckpt")
     hlmass.save_checkpoint(ck, path)
-    assert list(hlmass.load_checkpoint(path).rows()) == list(ck.rows())
+    assert list(hlmass.load_checkpoint(path).rows()) == [(0.0, 0.0), (1.0, 1.0),
+                                                          (2.0, 2.5)]
 
 
 def test_insert_refuses_a_row_its_recomputation_disagrees_with(
         tmp_path, quad_cfg, shared_ckpt):
-    """Extending the grid through a loaded row above the cover recomputes
-    that row; a stored value off by 1e-3 is a format error, not kept.  An
-    equal re-record, here the row 0, is accepted."""
+    """A file whose rows stop at 1000 and go on at 1003, shifted by -1e-3,
+    is a format error at load: no row above the cover can be stored, so
+    none is left for an extension to disagree with."""
     hlmass.hl_mass(1005.0, cfg=quad_cfg, ckpt=shared_ckpt)
     i_1003 = shared_ckpt.lookup(1003.0)
-    ck = hlmass.new_checkpoint(quad_cfg)
-    for t, v in shared_ckpt.rows():
-        if t <= 1000.0:
-            ck.insert(t, v)
-    ck.insert(1003.0, i_1003 - 1e-3)
-    path = str(tmp_path / "shifted.ckpt")
-    hlmass.save_checkpoint(ck, path)
-    loaded = hlmass.load_checkpoint(path)
-    assert loaded.int_cover == 1000
-    with pytest.raises(FormatError, match="T=1003"):
-        hlmass.hl_mass(1005.0, cfg=quad_cfg, ckpt=loaded)
+    full = tmp_path / "full.ckpt"
+    hlmass.save_checkpoint(shared_ckpt, str(full))
+    lines = full.read_text().splitlines()[:1002]
+    path = tmp_path / "shifted.ckpt"
+    path.write_text("\n".join(lines + [f"1003\t{i_1003 - 1e-3!r}"]) + "\n")
+    with pytest.raises(FormatError, match="row T=1003 where T=1001 is due"):
+        hlmass.load_checkpoint(str(path))
 
 
 # ---------------------------------------------------------------------------

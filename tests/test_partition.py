@@ -6,7 +6,8 @@ import math
 import pytest
 
 from hlq import hlmass, ladder, partition, zfun
-from hlq.errors import DomainError, InsufficientSpan, PrecisionUnreachable
+from hlq.errors import (DomainError, FormatError, InsufficientSpan,
+                        PrecisionUnreachable)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_lattice_points_do_not_depend_on_the_start(quad_cfg):
 
 
 def test_walk_integrates_each_partial_cell_once(monkeypatch, quad_cfg):
-    """Brent's last probe, the residual check and the recorded row share
+    """Brent's last probe, the residual check and the budget check share
     one integration of each point's partial cell [m, T]."""
     seen = collections.Counter()
     span_masses = hlmass._span_masses
@@ -109,8 +110,8 @@ def test_walk_integrates_each_partial_cell_once(monkeypatch, quad_cfg):
 
 
 def test_walk_extends_a_cover_below_a_recorded_row(tmp_path, quad_cfg, shared_ckpt):
-    """A checkpoint whose integer cover stops at 1000 below a recorded row at
-    1002.5: the walk past that row fills in the missing cells."""
+    """A file with a row 1002.5 above the cover 1000 is refused; a walk from
+    the file cut at 1000 fills in the cells past it."""
     hlmass.hl_mass_probe(1003.0, cfg=quad_cfg, ckpt=shared_ckpt)
     full = tmp_path / "full.ckpt"
     hlmass.save_checkpoint(shared_ckpt, str(full))
@@ -119,8 +120,11 @@ def test_walk_extends_a_cover_below_a_recorded_row(tmp_path, quad_cfg, shared_ck
     row = f"1002.5\t{hlmass.hl_mass_probe(1002.5, cfg=quad_cfg, ckpt=shared_ckpt)!r}"
     path = tmp_path / "gap.ckpt"
     path.write_text("\n".join([header, *kept, row]) + "\n")
+    with pytest.raises(FormatError, match="row T=1002.5 where T=1001 is due"):
+        hlmass.load_checkpoint(str(path))
+    path.write_text("\n".join([header, *kept]) + "\n")
     ck = hlmass.load_checkpoint(str(path))
-    assert ck.int_cover == 1000 and ck.max_t == 1002.5
+    assert ck.int_cover == 1000
     params = partition.PartitionParams(T_start=1000.0, count=20)
     records = partition.generate(params, cfg=quad_cfg, ckpt=ck)
     assert records[-1].T > 1002.5

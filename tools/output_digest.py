@@ -30,6 +30,8 @@ COMMANDS = [
     ("mass_1000.txt", ["mass", "--t", "1000", "--checkpoint", "mass.ckpt"]),
     ("mass_1500.5.json", ["mass", "--t", "1500.5", "--checkpoint", "mass.ckpt",
                           "--format", "json"]),
+    ("mass_1500.5_again.json", ["mass", "--t", "1500.5", "--checkpoint",
+                                "mass.ckpt", "--format", "json"]),
     ("ladder_1200.txt", ["ladder", "--t", "1200", "--checkpoint", "mass.ckpt"]),
     ("ladder_1200_c0.json", ["ladder", "--t", "1200", "--c0", "2.5",
                              "--checkpoint", "mass.ckpt", "--format", "json"]),
