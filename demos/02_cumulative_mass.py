@@ -39,7 +39,7 @@ def main():
           f"identical: {list(back.rows()) == list(ckpt.rows())}")
 
     # interval masses add up
-    ab = hlmass.hl_mass_between(100.0, 500.0, cfg=cfg, ckpt=ckpt)
+    ab = hlmass.hl_mass_between(100.0, 500.0)
     ia = hlmass.hl_mass(100.0, cfg=cfg, ckpt=ckpt)
     ib = hlmass.hl_mass(500.0, cfg=cfg, ckpt=ckpt)
     print(f"Interval mass [100, 500] = {ab:.6f}; cumulative difference "

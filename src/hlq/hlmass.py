@@ -56,6 +56,8 @@ from .errors import (
 )
 
 CHECKPOINT_VERSION = "5"
+# the Z policy (zfun.z_many's default) of every checkpoint; a file naming another is refused
+CHECKPOINT_Z_CONFIG = {"correction_depth": 4, "rs_min_t": zfun.RS_MIN_T}
 
 # (Gauss-Legendre nodes per panel, widest panel): the fixed rule, and the
 # finer one the partition recheck integrates each interval with again
@@ -84,20 +86,18 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 class MassCheckpoint:
-    """In-memory integer grid, row m holding I(m), under one Z policy,
-    ``z_policy``, which every extension uses; see module docstring for the
-    file format."""
+    """In-memory integer grid, row m holding I(m); see module docstring for
+    the file format."""
 
-    def __init__(self, tol: float, z_policy: zfun.ZConfig):
+    def __init__(self, tol: float):
         self.version = CHECKPOINT_VERSION
         self.tol = float(tol)
-        self.z_policy = z_policy
         self._is: list[float] = [0.0]  # _is[m] = I(m)
 
     @property
     def z_config(self) -> dict:
-        """The policy as written in the header."""
-        return self.z_policy.as_dict()
+        """The Z policy as written in the header."""
+        return dict(CHECKPOINT_Z_CONFIG)
 
     # -- queries ------------------------------------------------------
     def __len__(self) -> int:
@@ -130,14 +130,12 @@ class MassCheckpoint:
         self._is.extend(values)
 
 
-def new_checkpoint(cfg: QuadratureConfig = DEFAULT_CONFIG,
-                   z_config: zfun.ZConfig = zfun.DEFAULT_Z_CONFIG) -> MassCheckpoint:
-    return MassCheckpoint(cfg.rel_tol, z_config)
+def new_checkpoint(cfg: QuadratureConfig = DEFAULT_CONFIG) -> MassCheckpoint:
+    return MassCheckpoint(cfg.rel_tol)
 
 
 def check_compat(ckpt: MassCheckpoint, cfg: QuadratureConfig) -> None:
-    """Only the tolerance can conflict: the file's version and Z policy are
-    checked by ``load_checkpoint``, and queries use the checkpoint's policy."""
+    """Only the tolerance can conflict; ``load_checkpoint`` checks the rest."""
     if ckpt.tol > cfg.rel_tol:
         raise CheckpointConflict(
             f"checkpoint tol {ckpt.tol:g} is coarser than requested {cfg.rel_tol:g}"
@@ -171,12 +169,11 @@ def load_checkpoint(path: str) -> MassCheckpoint:
         raise FormatError("checkpoint header missing version/tol/z_config")
     if header["version"] != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {header['version']!r}")
-    zc = header["z_config"]
-    if not isinstance(zc, dict) or set(zc) != set(zfun.DEFAULT_Z_CONFIG.as_dict()):
-        raise FormatError(f"checkpoint z_config {zc!r} does not name the Z policy")
+    zc = json.dumps(header["z_config"], sort_keys=True)
+    if zc != json.dumps(CHECKPOINT_Z_CONFIG, sort_keys=True):
+        raise FormatError(f"checkpoint z_config {zc} is not the fixed Z policy")
     try:
-        tol = QuadratureConfig(float(header["tol"])).rel_tol
-        ck = MassCheckpoint(tol, zfun.ZConfig(**zc))
+        ck = MassCheckpoint(QuadratureConfig(float(header["tol"])).rel_tol)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
     is_ = []
@@ -234,7 +231,7 @@ def _panel_counts(lo, hi, rule) -> np.ndarray:
 # the span kernel
 # ---------------------------------------------------------------------------
 
-def _span_masses(edges, z_policy: zfun.ZConfig, damp=0.0, rule=_RULE):
+def _span_masses(edges, damp=0.0, rule=_RULE):
     """Masses of Z^2 times exp(-2*damp*t) over each span [edges[i],
     edges[i+1]]; returns (values, envelopes) as arrays, with a leading axis
     over ``damp`` when it is a sequence.
@@ -267,7 +264,7 @@ def _span_masses(edges, z_policy: zfun.ZConfig, damp=0.0, rule=_RULE):
         x = (lo[i:j, None] + width[i:j, None] * offsets).ravel()
         w = (width[i:j, None] * weights).ravel()
         lattice = (lo[i:j], offsets) if whole else None
-        parts.append((x, w) + zfun.z_many(x, z_policy, lattice=lattice))
+        parts.append((x, w) + zfun.z_many(x, lattice=lattice))
         sizes += [len(offsets)] * (j - i)
         i = j
     x, w, f, e = (np.concatenate(col) for col in zip(*parts))
@@ -288,14 +285,13 @@ def _span_masses(edges, z_policy: zfun.ZConfig, damp=0.0, rule=_RULE):
 _CELL_BLOCK = 256
 
 
-def _cells_masses(m0: int, m1: int, z_policy: zfun.ZConfig, jobs: int = 1,
-                  damp=0.0):
+def _cells_masses(m0: int, m1: int, jobs: int = 1, damp=0.0):
     """Per-cell masses for integer cells m0 < m1, worker-count independent."""
     blocks = [range(b, min(b + _CELL_BLOCK, m1) + 1)
               for b in range(m0, m1, _CELL_BLOCK)]
 
     def block_masses(edges):
-        return _span_masses(edges, z_policy, damp)
+        return _span_masses(edges, damp)
     if jobs > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(block_masses, blocks))
@@ -331,7 +327,7 @@ def _ensure_cover(ckpt: MassCheckpoint, target_m: int, cfg: QuadratureConfig,
     """
     if target_m <= ckpt.int_cover:
         return
-    vals, envs = _cells_masses(ckpt.int_cover, target_m, ckpt.z_policy, jobs=jobs)
+    vals, envs = _cells_masses(ckpt.int_cover, target_m, jobs=jobs)
     anchor = ckpt._is[-1]
     check_budget(anchor + float(vals.sum()), float(envs.sum()), cfg,
                  f"extending to T={target_m}")
@@ -356,14 +352,13 @@ def hl_mass_envelope(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
         return hit, 0.0
     m = math.floor(t)
     _ensure_cover(ckpt, m, cfg, jobs)
-    part, part_env = _span_masses((float(m), t), ckpt.z_policy)
+    part, part_env = _span_masses((float(m), t))
     return ckpt.lookup(m) + float(part[0]), float(part_env[0])
 
 
 def hl_mass(t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
             ckpt: MassCheckpoint | None = None, jobs: int = 1) -> float:
-    """Cumulative mass I(t) under the checkpoint's Z policy (the default
-    one for ``ckpt=None``); extends (and reuses) the checkpoint grid and
+    """Cumulative mass I(t); extends (and reuses) the checkpoint grid and
     checks the partial cell's envelope against the budget."""
     return check_budget(*hl_mass_envelope(t, cfg, ckpt, jobs), cfg,
                         f"at T={float(t):g}")
@@ -393,12 +388,11 @@ def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     return bisect.bisect_right(ckpt._is, target) - 1
 
 
-def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                    ckpt: MassCheckpoint | None = None,
-                    _recheck: bool = False) -> float:
+def hl_mass_between(t1: float, t2: float, _recheck: bool = False) -> float:
     """Mass of [t1, t2] by direct panel quadrature (no large-value subtraction).
 
-    Z is evaluated under the policy of ``ckpt``, the default one without it.
+    It certifies nothing: the kernel's envelope is neither returned nor
+    checked against a budget, and no checkpoint row is read.
     ``_recheck`` selects the finer rule the partition recheck pass uses to
     re-integrate with a different discretization.
     """
@@ -407,17 +401,13 @@ def hl_mass_between(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_CONFIG
         raise DomainError("hl_mass_between requires 0 <= T1 <= T2")
     if t1 == t2:
         return 0.0
-    if ckpt is None:
-        ckpt = new_checkpoint(cfg)
-    check_compat(ckpt, cfg)
     edges = [t1]
     # spans holding at least two whole cells are split at the cell edges
     first, last = math.ceil(t1), math.floor(t2)
     if last - first >= 2:
         edges.extend(float(m) for m in range(first, last + 1) if t1 < m < t2)
     edges.append(t2)
-    vals, _ = _span_masses(edges, ckpt.z_policy,
-                           rule=_RECHECK_RULE if _recheck else _RULE)
+    vals, _ = _span_masses(edges, rule=_RECHECK_RULE if _recheck else _RULE)
     return pairwise_sum(vals)
 
 
@@ -435,14 +425,13 @@ def damped_masses(deltas, cfg: QuadratureConfig = DEFAULT_CONFIG,
     check_positive_int("jobs", jobs)
     t_maxes = [math.log(1.0 / _DAMPED_TRUNCATION_EPS) / (2.0 * d) for d in deltas]
     m1s = [int(math.floor(t_max)) for t_max in t_maxes]
-    zc = zfun.DEFAULT_Z_CONFIG
-    vals, envs = _cells_masses(0, max(m1s), zc, jobs=jobs, damp=deltas)
+    vals, envs = _cells_masses(0, max(m1s), jobs=jobs, damp=deltas)
     totals = []
     for k, (delta, t_max, m1) in enumerate(zip(deltas, t_maxes, m1s)):
         pieces = vals[k, :m1].tolist()
         env = float(envs[k, :m1].sum())
         if t_max > m1:
-            v, e = _span_masses((float(m1), t_max), zc, damp=delta)
+            v, e = _span_masses((float(m1), t_max), damp=delta)
             pieces.append(float(v[0]))
             env += float(e[0])
         # analytic tail: Z^2 <= C sqrt(t)  =>  C * Gamma(3/2, 2 d tmax) / (2d)^(3/2),

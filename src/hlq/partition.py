@@ -147,7 +147,7 @@ def generate(params: PartitionParams,
     lps = [LadderPoint(T=t, phi=F_inverse(mi, c0), mass=mi)
            for t, mi in zip(points, masses_i)]
 
-    masses = [hlmass.hl_mass_between(lo, hi, cfg=cfg, ckpt=ckpt, _recheck=True)
+    masses = [hlmass.hl_mass_between(lo, hi, _recheck=True)
               for lo, hi in zip(points, points[1:])]
 
     records = []

@@ -140,7 +140,7 @@ def short_interval_check(T: float, epsilon: float = 0.01,
     u = T ** (1.0 / 3.0 + 2.0 * epsilon)
     p1 = phi_at(T, cfg=cfg, ckpt=ckpt, c0=c0, jobs=jobs)
     p2 = phi_at(T + u, cfg=cfg, ckpt=ckpt, c0=c0, jobs=jobs)
-    observed = hlmass.hl_mass_between(T, T + u, cfg=cfg, ckpt=ckpt)
+    observed = hlmass.hl_mass_between(T, T + u)
     predicted = u * (math.log(0.5 * p1.phi) - A) * chord_tan_alpha(p1, p2)
     bound = SHORT_INTERVAL_ENV_C * T ** (-1.0 / 3.0 + 4.0 * epsilon)
     return _report(

@@ -7,17 +7,17 @@ Three evaluation routes, each with a certified absolute-error envelope:
 * the reference route: Euler-Maclaurin evaluation of zeta(1/2 + it) with
   the classical remainder bound, rotated onto Z.  Slow but valid at any
   height here considered; ``z_many`` uses it below ``ZConfig.rs_min_t``.
-* the Riemann-Siegel route: main sum plus up to four correction terms.
+* the Riemann-Siegel route: main sum plus four correction terms.
   ``z_eval`` uses it from ``T_SWITCH`` up when its envelope meets the
   requested target, otherwise it falls back to the reference route.  On
   the nodes of whole unit cells ``z_many`` factors the main sum over a
   lattice of cells and offsets (``_lattice_main_sum``).
 
-The RS truncation constants ``RS_TRUNC_C`` are empirical, not a proved
-bound: against mpmath at 150 points on [25, 1e6] the worst error/envelope
-was 0.25 at depth 4 and 0.24 at depth 3 (tools/make_rs_tables.py gives the
-table provenance).  Every envelope includes an explicit phase-roundoff term
-since the oscillation arguments grow like t*ln(t).
+The RS truncation envelope ``RS_TRUNC_C * t^(-11/4)`` (t >= 25) is
+empirical, not a proved bound: against mpmath at 150 points on [25, 1e6]
+the worst error/envelope was 0.25 (tools/make_rs_tables.py gives the table
+provenance).  Every envelope includes an explicit phase-roundoff term since
+the oscillation arguments grow like t*ln(t).
 """
 
 from __future__ import annotations
@@ -40,34 +40,22 @@ EPS = float(np.finfo(np.float64).eps)
 
 T_SWITCH = 10.0
 RS_MIN_T = 700.0  # internal integrand route: reference below, RS above
-
-# truncation envelopes c_k * t^(-(2k+3)/4) per correction depth, t >= 25;
-# empirical: worst error/envelope 0.25 (depth 4), 0.24 (depth 3) over 150
-# mpmath points on [25, 1e6]
-RS_TRUNC_C = (1.2, 0.9, 0.25, 0.12, 0.05)
+RS_TRUNC_C = 0.05  # empirical, see the module docstring
+_EM_M = 14  # Euler-Maclaurin correction terms of the reference route
 
 _MIN_TARGET = 1e-12
 
 
 @dataclass(frozen=True)
 class ZConfig:
-    """Identifies the Z evaluation policy baked into a checkpoint."""
+    """Where ``z_many`` switches from the reference route to RS."""
 
-    correction_depth: int = 4
     rs_min_t: float = RS_MIN_T
 
     def __post_init__(self):
-        depth, rs_min_t = self.correction_depth, self.rs_min_t
-        if type(depth) is not int or not 0 <= depth <= 4:  # bool, 2.0 too
-            raise DomainError("correction_depth must be an int in 0..4")
+        rs_min_t = self.rs_min_t
         if not (isinstance(rs_min_t, (int, float)) and T_SWITCH <= rs_min_t < math.inf):
             raise DomainError("rs_min_t must be finite and >= T_SWITCH")
-
-    def as_dict(self) -> dict:
-        return {
-            "correction_depth": self.correction_depth,
-            "rs_min_t": self.rs_min_t,
-        }
 
 
 DEFAULT_Z_CONFIG = ZConfig()
@@ -187,10 +175,14 @@ def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     # u is now the first omitted term U_{M+1}; add the Backlund factor
     sigma_fac = np.abs(s + (2 * m_terms + 1)) / (0.5 + 2 * m_terms + 1)
     rem_bound = np.abs(n_pow * u) * sigma_fac
-    # per-point bounds: a point's envelope must not depend on its batch
-    ro = 2.0 * math.sqrt(n) * EPS * np.maximum(1.0, ts * max(1.0, math.log(n))) * 1.5 \
+    return val, rem_bound, _em_roundoff(ts, n_terms, m_terms)
+
+
+def _em_roundoff(ts, n_terms: int, m_terms: int):
+    """Roundoff envelope of ``_zeta_em_block``, per point whatever the batch."""
+    n = float(n_terms)
+    return 2.0 * math.sqrt(n) * EPS * np.maximum(1.0, ts * max(1.0, math.log(n))) * 1.5 \
         + (n_terms + m_terms) * EPS * 3.0
-    return val, rem_bound, ro
 
 
 def _z_from_zeta(ts: np.ndarray, zeta_vals: np.ndarray, zeta_env):
@@ -200,6 +192,10 @@ def _z_from_zeta(ts: np.ndarray, zeta_vals: np.ndarray, zeta_env):
     rot = np.exp(1j * th) * zeta_vals
     env = zeta_env + (np.abs(zeta_vals) + 0.1) * 1e-10 + np.abs(np.imag(rot))
     return np.real(rot), env
+
+
+def _em_terms(ts: np.ndarray) -> np.ndarray:  # N of the reference route
+    return np.maximum(50, np.floor(0.6 * ts).astype(np.int64) + 1)
 
 
 def _z_reference(ts: np.ndarray):
@@ -212,7 +208,7 @@ def _z_reference(ts: np.ndarray):
     chunking a run over points, at most 4e6 // N per block, never over
     terms: each point is reduced over its full term range in one order.
     """
-    n_arr = np.maximum(50, np.floor(0.6 * ts).astype(np.int64) + 1)
+    n_arr = _em_terms(ts)
     out = np.empty_like(ts)
     env = np.empty_like(ts)
     bounds = np.r_[np.flatnonzero(np.r_[True, np.diff(n_arr) != 0]), len(ts)]
@@ -221,7 +217,7 @@ def _z_reference(ts: np.ndarray):
         step = max(64, 4_000_000 // n)
         for a in range(i, j, step):
             b = min(a + step, j)
-            vals, rem, ro = _zeta_em_block(ts[a:b], n, 14)
+            vals, rem, ro = _zeta_em_block(ts[a:b], n, _EM_M)
             out[a:b], env[a:b] = _z_from_zeta(ts[a:b], vals, rem + ro)
     return out, env, n_arr
 
@@ -230,10 +226,10 @@ def _z_reference(ts: np.ndarray):
 # Riemann-Siegel route
 # ---------------------------------------------------------------------------
 
-def rs_truncation_env(t, depth: int):
-    """Certified truncation envelope of the depth-term RS formula."""
+def rs_truncation_env(t):
+    """Truncation envelope of the four-correction RS formula (empirical)."""
     t = np.asarray(t, dtype=np.float64)
-    return RS_TRUNC_C[depth] * t ** (-(2.0 * depth + 3.0) / 4.0)
+    return RS_TRUNC_C * t ** -2.75
 
 
 def rs_roundoff_env(t):
@@ -243,11 +239,10 @@ def rs_roundoff_env(t):
     return 4.0 * (t / TWO_PI) ** 0.25 * EPS * t * np.maximum(1.0, np.log(t))
 
 
-def _rs_corrections(p: np.ndarray, q: np.ndarray, depth: int) -> np.ndarray:
+def _rs_corrections(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     x = p - 0.5
     corr = np.zeros_like(p)
-    for k in range(depth, -1, -1):
-        tab = RS_C_TABLES[k]
+    for tab in reversed(RS_C_TABLES):
         v = np.full_like(p, tab[-1])
         for c in reversed(tab[:-1]):
             v = v * x + c
@@ -305,7 +300,7 @@ def _lattice_main_sum(th, cells, offsets):
     return np.cos(th) * s.real - np.sin(th) * s.imag, np.repeat(n_cell, len(offsets))
 
 
-def _z_rs_block(ts: np.ndarray, depth: int, lattice=None):
+def _z_rs_block(ts: np.ndarray, lattice=None):
     """RS evaluation for an ascending block of t >= 2*TWO_PI.
 
     Main-sum terms are added suffix-wise: N(t) is nondecreasing along the
@@ -327,10 +322,10 @@ def _z_rs_block(ts: np.ndarray, depth: int, lattice=None):
     total *= 2.0
     p = a - n_of_t
     q = np.sqrt(TWO_PI / ts)
-    corr = _rs_corrections(p, q, depth)
+    corr = _rs_corrections(p, q)
     sign = np.where(n_of_t % 2 == 1, 1.0, -1.0)  # (-1)^(N-1)
     total += sign * (TWO_PI / ts) ** 0.25 * corr
-    env = rs_truncation_env(ts, depth) + rs_roundoff_env(ts)
+    env = rs_truncation_env(ts) + rs_roundoff_env(ts)
     return total, env
 
 
@@ -346,8 +341,8 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     per-point certified absolute errors.  ``lattice = (cells, offsets)``
     says that ts is cells[:, None] + offsets, raveled: the nodes of whole
     cells [m, m+1].  Cells with every node on the RS route then take the
-    factored main sum; a cell that straddles ``rs_min_t`` is evaluated
-    pointwise.
+    factored main sum; a cell that straddles a custom ``rs_min_t`` is
+    evaluated pointwise.
     """
     ts = as_float_array(ts)
     if len(ts) == 0:
@@ -371,7 +366,7 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
             first = -(-split // len(offsets))  # first cell wholly on the RS route
             if first < len(cells):
                 rs_lattice = (cells[first:], offsets)
-        z, e = _z_rs_block(ts[split:], z_config.correction_depth, rs_lattice)
+        z, e = _z_rs_block(ts[split:], rs_lattice)
         out[split:] = z
         env[split:] = e
     return out, env
@@ -389,17 +384,20 @@ def z_eval(t: float, target_abs_err: float = 1e-9) -> ZSample:
         raise DomainError("z_eval requires finite t >= 0")
     if not (target_abs_err >= _MIN_TARGET):
         raise DomainError("target_abs_err must be >= 1e-12")
+    ts = np.array([t])
     if t >= T_SWITCH:
-        depth = DEFAULT_Z_CONFIG.correction_depth
-        rs_env = float(rs_truncation_env(t, depth) + rs_roundoff_env(t))
+        rs_env = float(rs_truncation_env(t) + rs_roundoff_env(t))
         if rs_env <= target_abs_err:
-            z, env = _z_rs_block(np.array([t]), depth)
+            z, env = _z_rs_block(ts)
             n_main = int(math.sqrt(t / TWO_PI))
             return ZSample(t, float(z[0]), float(env[0]), n_main, "riemann_siegel")
-    z, env, n = _z_reference(np.array([t]))
+    # the roundoff term, known before the O(t) sum, bounds the envelope below
+    env = _em_roundoff(ts, int(_em_terms(ts)[0]), _EM_M)
+    if float(env[0]) <= target_abs_err:
+        z, env, n = _z_reference(ts)
     if float(env[0]) > target_abs_err:
         raise PrecisionUnreachable(
             f"no route certifies {target_abs_err:g} at t={t:g} "
-            f"(best {float(env[0]):.3g})"
+            f"(envelope at least {float(env[0]):.3g})"
         )
     return ZSample(t, float(z[0]), float(env[0]), int(n[0]), "reference")

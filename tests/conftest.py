@@ -6,13 +6,12 @@ against these rather than against the package's own output.
 
 ``shared_ckpt`` is one in-memory checkpoint reused for the whole session:
 every stored value is path-independent by design, so sharing it cannot
-couple tests — it only saves recomputation.  ``depth2_ckpt`` is the same
-under a non-default Z policy (correction depth 2) at ``depth2_cfg``.
+couple tests — it only saves recomputation.
 """
 
 import pytest
 
-from hlq import hlmass, zfun
+from hlq import hlmass
 
 ORACLE = {
     "theta_100": 87.97216523178721962548,
@@ -59,13 +58,3 @@ def quad_cfg():
 @pytest.fixture(scope="session")
 def shared_ckpt(quad_cfg):
     return hlmass.new_checkpoint(quad_cfg)
-
-
-@pytest.fixture(scope="session")
-def depth2_cfg():
-    return hlmass.QuadratureConfig(rel_tol=1e-6)
-
-
-@pytest.fixture(scope="session")
-def depth2_ckpt(depth2_cfg):
-    return hlmass.new_checkpoint(depth2_cfg, zfun.ZConfig(correction_depth=2))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hlq
-from hlq import cli, hlmass, zfun
+from hlq import cli, hlmass
 
 PARTITION_HEADER = "nu,T,gap,mass,tan_alpha,predicted_gap,rel_gap_err"
 GRAM_HEADER = "nu,t,tau_bar,spacing,predicted"
@@ -69,20 +69,18 @@ def test_mass_with_checkpoint(capsys, ckpt_file):
 
 
 def test_checkpoint_keeps_its_z_policy(capsys, tmp_path):
-    """mass and partition continue a checkpoint built under another Z
-    policy, and its header keeps naming that policy."""
-    cfg = hlmass.QuadratureConfig(rel_tol=1e-6)
-    ck = hlmass.new_checkpoint(cfg, zfun.ZConfig(correction_depth=2))
-    hlmass.hl_mass(1000.0, cfg=cfg, ckpt=ck)
-    path = str(tmp_path / "depth2.ckpt")
-    hlmass.save_checkpoint(ck, path)
-    for argv in (("mass", "--t", "1001"),
-                 ("partition", "--start", "1001", "--count", "3")):
-        code, _, err = run_cli(capsys, *argv, "--tol", "1e-6",
-                               "--checkpoint", path)
-        assert code == 0, err
-        assert hlmass.load_checkpoint(path).z_config == ck.z_config
-    assert hlmass.load_checkpoint(path).lookup(1001.0) is not None
+    """Every checkpoint is built under the one Z policy: mass refuses a file
+    whose header names correction depth 2 and leaves it as it was."""
+    path = tmp_path / "depth2.ckpt"
+    header = {"tol": 1e-6, "version": hlmass.CHECKPOINT_VERSION,
+              "z_config": {"correction_depth": 2, "rs_min_t": 700.0}}
+    text = json.dumps(header, sort_keys=True) + "\n0\t0\n"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "mass", "--t", "10", "--tol", "1e-6",
+                             "--checkpoint", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("format_error:")
+    assert path.read_text() == text
 
 
 def test_mass_env_checkpoint(capsys, tmp_path, monkeypatch):

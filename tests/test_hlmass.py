@@ -107,17 +107,13 @@ def test_extension_path_independent(quad_cfg):
     assert list(c.rows()) == list(b.rows())[:60]
 
 
-@pytest.mark.parametrize("z_policy", [zfun.DEFAULT_Z_CONFIG,
-                                      zfun.ZConfig(rs_min_t=700.5)],
-                         ids=["default", "rs_min_t=700.5"])
-def test_extension_path_independent_on_the_lattice(z_policy):
+def test_extension_path_independent_on_the_lattice():
     """Above rs_min_t whole cells take the lattice main sum; a cell's bits
-    must not depend on the block it was extended in.  With rs_min_t = 700.5
-    the cell [700, 701] straddles the route split."""
+    must not depend on the block it was extended in."""
     cfg = hlmass.QuadratureConfig()
-    one = hlmass.new_checkpoint(cfg, z_policy)
+    one = hlmass.new_checkpoint(cfg)
     hlmass.hl_mass(1300.0, cfg=cfg, ckpt=one)
-    steps = hlmass.new_checkpoint(cfg, z_policy)
+    steps = hlmass.new_checkpoint(cfg)
     hlmass.hl_mass(700.0, cfg=cfg, ckpt=steps)
     for m in range(701, 761):
         hlmass.hl_mass(float(m), cfg=cfg, ckpt=steps)
@@ -136,29 +132,28 @@ _LATTICE_BANDS = [(700, 2), (3363, 2), (77858, 2), (100000, 1)]
 @pytest.mark.parametrize("m0,count", _LATTICE_BANDS)
 def test_lattice_nodes_within_envelope(monkeypatch, m0, count):
     """Every node of the cells, as the span kernel evaluates it, against
-    mpmath's Z at 25 digits: |Z - Z_mp| <= envelope at depths 4 and 2."""
+    mpmath's Z at 25 digits: |Z - Z_mp| <= envelope."""
     mpmath = pytest.importorskip("mpmath")
     calls = []
     z_many = zfun.z_many
 
     def recording(ts, z_config=zfun.DEFAULT_Z_CONFIG, lattice=None):
-        calls.append((ts, lattice, z_config.correction_depth))
+        calls.append((ts, lattice))
         return z_many(ts, z_config, lattice=lattice)
     monkeypatch.setattr(zfun, "z_many", recording)
     edges = [float(m) for m in range(m0, m0 + count + 1)]
-    for depth in (4, 2):
-        hlmass._span_masses(edges, zfun.ZConfig(correction_depth=depth))
-    assert len(calls) == 2 * len({int(p) for p in hlmass._panel_counts(
+    hlmass._span_masses(edges)
+    assert len(calls) == len({int(p) for p in hlmass._panel_counts(
         np.array(edges[:-1]), np.array(edges[1:]), hlmass._RULE)})
-    assert all(lattice is not None for _, lattice, _ in calls)
+    assert all(lattice is not None for _, lattice in calls)
     with mpmath.workdps(25):
-        ref = {t: float(mpmath.siegelz(t)) for ts, _, _ in calls for t in ts.tolist()}
-    for ts, lattice, depth in calls:
-        z, env = z_many(ts, zfun.ZConfig(correction_depth=depth), lattice=lattice)
+        ref = {t: float(mpmath.siegelz(t)) for ts, _ in calls for t in ts.tolist()}
+    for ts, lattice in calls:
+        z, env = z_many(ts, lattice=lattice)
         err = np.abs(z - np.array([ref[t] for t in ts.tolist()]))
-        assert np.all(err <= env), (depth, float(np.max(err / env)))
+        assert np.all(err <= env), float(np.max(err / env))
         # the factored sum, not the pointwise one, produced these values
-        direct, _ = z_many(ts, zfun.ZConfig(correction_depth=depth))
+        direct, _ = z_many(ts)
         assert not np.array_equal(z, direct)
 
 
@@ -178,29 +173,6 @@ def test_jobs_must_be_a_positive_int(quad_cfg, jobs):
     assert list(ck.rows()) == [(0.0, 0.0)]
 
 
-def test_z_config_reaches_the_checkpoint(tmp_path):
-    """The Z policy a checkpoint was built with drives every query on it,
-    is written into its header, and survives a reload."""
-    cfg = hlmass.QuadratureConfig(rel_tol=1e-6)
-    t = 1500.5
-    ck = hlmass.new_checkpoint(cfg, zfun.ZConfig(correction_depth=2))
-    v = hlmass.hl_mass(t, cfg=cfg, ckpt=ck)
-    # depth 2 against the default depth 4: about 1.6e-5 apart at this height
-    assert 1e-5 < abs(v - hlmass.hl_mass(t, cfg=cfg)) < 3e-5
-    assert hlmass.hl_mass_probe(t - 0.25, cfg=cfg, ckpt=ck) < v
-    assert (hlmass.hl_mass_between(t - 1.0, t, cfg=cfg, ckpt=ck)
-            != hlmass.hl_mass_between(t - 1.0, t, cfg=cfg))
-    path = tmp_path / "depth2.ckpt"
-    hlmass.save_checkpoint(ck, str(path))
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header["z_config"] == {"correction_depth": 2, "rs_min_t": zfun.RS_MIN_T}
-    back = hlmass.load_checkpoint(str(path))
-    assert back.z_policy == ck.z_policy
-    for c in (ck, back):
-        hlmass.hl_mass(1600.25, cfg=cfg, ckpt=c)
-    assert list(back.rows()) == list(ck.rows())
-
-
 # ---------------------------------------------------------------------------
 # checkpoint file format
 # ---------------------------------------------------------------------------
@@ -217,7 +189,7 @@ def test_checkpoint_roundtrip(tmp_path, quad_cfg):
     path = tmp_path / "m.ckpt"
     hlmass.save_checkpoint(ck, str(path))
     header = json.loads(path.read_text().splitlines()[0])
-    assert set(header["z_config"]) == {"correction_depth", "rs_min_t"}
+    assert header["z_config"] == hlmass.CHECKPOINT_Z_CONFIG
     back = hlmass.load_checkpoint(str(path))
     assert back.tol == ck.tol
     assert back.z_config == ck.z_config
@@ -277,6 +249,10 @@ def _edit_header(lines, edit):
      "correction_depth 9"),
     (lambda L: _edit_header(L, lambda h: h["z_config"].update(correction_depth=2.0)),
      "correction_depth 2.0"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].update(correction_depth=2)),
+     "correction_depth 2"),
+    (lambda L: _edit_header(L, lambda h: h["z_config"].update(correction_depth=4.0)),
+     "correction_depth 4.0"),
     (lambda L: _edit_header(L, lambda h: h["z_config"].update(rs_min_t=math.nan)),
      "rs_min_t NaN"),
 ])
@@ -379,31 +355,31 @@ def test_config_validation(kw):
 # interval masses
 # ---------------------------------------------------------------------------
 
-def test_between_additive(quad_cfg, shared_ckpt):
+def test_between_additive():
     a, b, c = 120.0, 145.5, 180.25
-    ab = hlmass.hl_mass_between(a, b, cfg=quad_cfg, ckpt=shared_ckpt)
-    bc = hlmass.hl_mass_between(b, c, cfg=quad_cfg, ckpt=shared_ckpt)
-    ac = hlmass.hl_mass_between(a, c, cfg=quad_cfg, ckpt=shared_ckpt)
+    ab = hlmass.hl_mass_between(a, b)
+    bc = hlmass.hl_mass_between(b, c)
+    ac = hlmass.hl_mass_between(a, c)
     assert abs((ab + bc) - ac) <= 1e-10 * ac
 
 
-def test_between_matches_cumulative_difference(oracle, quad_cfg, shared_ckpt):
-    v = hlmass.hl_mass_between(100.0, 200.0, cfg=quad_cfg, ckpt=shared_ckpt)
+def test_between_matches_cumulative_difference(oracle):
+    v = hlmass.hl_mass_between(100.0, 200.0)
     want = oracle["I_200"] - oracle["I_100"]
     assert abs(v - want) <= 1e-9 * want
 
 
-def test_between_spanning_the_origin(oracle, quad_cfg):
-    v = hlmass.hl_mass_between(0.0, 100.0, cfg=quad_cfg)
+def test_between_spanning_the_origin(oracle):
+    v = hlmass.hl_mass_between(0.0, 100.0)
     assert abs(v - oracle["I_100"]) <= 1e-10 * oracle["I_100"]
 
 
-def test_between_edge_cases(quad_cfg):
-    assert hlmass.hl_mass_between(55.5, 55.5, cfg=quad_cfg) == 0.0
+def test_between_edge_cases():
+    assert hlmass.hl_mass_between(55.5, 55.5) == 0.0
     with pytest.raises(DomainError):
-        hlmass.hl_mass_between(10.0, 5.0, cfg=quad_cfg)
+        hlmass.hl_mass_between(10.0, 5.0)
     with pytest.raises(DomainError):
-        hlmass.hl_mass_between(-1.0, 5.0, cfg=quad_cfg)
+        hlmass.hl_mass_between(-1.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +471,7 @@ def test_envelope_within_budget(quad_cfg):
     sum to within the budget."""
     ck = hlmass.new_checkpoint(quad_cfg)
     v = hlmass.hl_mass(300.5, cfg=quad_cfg, ckpt=ck)
-    _, cell_envs = hlmass._cells_masses(0, 300, ck.z_policy)
-    _, part_env = hlmass._span_masses((300.0, 300.5), ck.z_policy)
+    _, cell_envs = hlmass._cells_masses(0, 300)
+    _, part_env = hlmass._span_masses((300.0, 300.5))
     env = float(cell_envs.sum() + part_env[0])
     assert 0.0 < part_env[0] and 0.0 < env <= quad_cfg.rel_tol * max(1.0, v)

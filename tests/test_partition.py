@@ -43,7 +43,7 @@ def test_seed_point_tau_shift(quad_cfg, shared_ckpt):
 def test_next_point_unit_mass(quad_cfg, shared_ckpt):
     t = partition.next_point(1000.0, 1.0, cfg=quad_cfg, ckpt=shared_ckpt)
     assert abs(t - 1000.33029988917) <= 1e-8
-    m = hlmass.hl_mass_between(1000.0, t, cfg=quad_cfg, ckpt=shared_ckpt)
+    m = hlmass.hl_mass_between(1000.0, t)
     assert abs(m - 1.0) <= 1e-8
 
 
@@ -68,16 +68,6 @@ def test_unresolvable_omega_is_refused(omega, quad_cfg, shared_ckpt):
 # ---------------------------------------------------------------------------
 # generated sequences
 # ---------------------------------------------------------------------------
-
-def test_generate_on_a_non_default_z_policy(depth2_cfg, depth2_ckpt):
-    """generate continues a checkpoint built under another Z policy."""
-    params = partition.PartitionParams(T_start=1000.0, count=5)
-    records = partition.generate(params, cfg=depth2_cfg, ckpt=depth2_ckpt)
-    assert len(records) == params.count + 1
-    for r in records[:-1]:
-        assert abs(r.mass - params.omega) <= 1e-8
-    assert depth2_ckpt.z_config["correction_depth"] == 2
-
 
 def test_lattice_points_do_not_depend_on_the_start(quad_cfg):
     """Each T_nu is solved inside its own grid cell, so two walks that share
@@ -255,6 +245,24 @@ def test_planck_offsets_are_products():
               99999: "0x1.cb599b7c79c67p-75"}
     for k, bits in pinned.items():
         assert steps[k][0].hex() == bits, k
+
+
+def test_planck_gaps_against_mpmath():
+    """pi * gap * Z^2 restores h when Z comes from mpmath's siegelz at 30
+    digits, at T0 and at T0 plus the last offset, not from the z_eval value
+    the gaps were divided by: to within twice z_eval's relative envelope."""
+    mpmath = pytest.importorskip("mpmath")
+    t0 = 10002.0
+    steps = partition.planck_sequence(t0, 10 ** 5)
+    z = zfun.z_eval(t0, target_abs_err=1e-9)
+    r = z.abs_err / abs(z.z)
+    bound = 2.0 * r + r * r + 8.0 * zfun.EPS
+    with mpmath.workdps(30):
+        for offset, gap in (steps[0], steps[-1]):
+            z_mp = mpmath.siegelz(mpmath.mpf(t0) + mpmath.mpf(offset))
+            quantum = mpmath.pi * mpmath.mpf(gap) * z_mp ** 2
+            err = abs(quantum - partition.PLANCK_H) / partition.PLANCK_H
+            assert float(err) <= bound, (offset, float(err), bound)
 
 
 def test_planck_domain():

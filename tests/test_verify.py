@@ -20,15 +20,6 @@ def test_main_term_values():
                                                     rel=1e-13)
 
 
-def test_checks_on_a_non_default_z_policy(depth2_cfg, depth2_ckpt):
-    """The verify checks continue a checkpoint built under another Z policy."""
-    short = verify.short_interval_check(1000.0, cfg=depth2_cfg, ckpt=depth2_ckpt)
-    assert short.kind == "short_interval" and short.within_bound
-    [band] = verify.ladder_checks([1000.0], cfg=depth2_cfg, ckpt=depth2_ckpt)
-    assert band.within_bound
-    assert depth2_ckpt.z_config["correction_depth"] == 2
-
-
 def test_report_shape(quad_cfg, shared_ckpt):
     r = verify.balasubramanian_residual(1000.0, cfg=quad_cfg,
                                         ckpt=shared_ckpt)

@@ -155,9 +155,15 @@ def test_em_chunked_run_matches_slices():
         assert float(z[i]).hex() == bits, i
 
 
-def test_z_eval_precision_unreachable():
-    with pytest.raises(PrecisionUnreachable):
-        zfun.z_eval(50000.0, target_abs_err=1e-12)
+def test_z_eval_precision_unreachable(monkeypatch):
+    """A target below the reference route's roundoff term is refused before
+    the O(t) Euler-Maclaurin sum is allocated: about 27 GB at t = 1e9."""
+    def refuse(*args):
+        raise AssertionError("the Euler-Maclaurin sum was evaluated")
+    monkeypatch.setattr(zfun, "_zeta_em_block", refuse)
+    for t, target in ((50000.0, 1e-12), (1e9, 1e-9)):
+        with pytest.raises(PrecisionUnreachable):
+            zfun.z_eval(t, target_abs_err=target)
 
 
 def test_z_eval_domain():
@@ -170,8 +176,7 @@ def test_z_eval_domain():
 
 
 @pytest.mark.parametrize("kw", [
-    {"correction_depth": 5}, {"correction_depth": 2.0},
-    {"correction_depth": True}, {"rs_min_t": 5.0}, {"rs_min_t": math.nan},
+    {"rs_min_t": 5.0}, {"rs_min_t": math.nan},
     {"rs_min_t": math.inf}, {"rs_min_t": "700"},
 ])
 def test_z_config_validation(kw):
@@ -206,3 +211,18 @@ def test_z_many_matches_batch_independent_bits():
     for i in (0, 57, 120, 201):
         one, _ = zfun.z_many(ts[i:i + 1])
         assert one[0] == full[i]
+
+
+def test_lattice_straddling_rs_min_t():
+    """With rs_min_t = 700.5 the cell [700, 701] straddles the route split:
+    the lattice of cells 700-760 is, bit for bit, cell 700 evaluated alone
+    followed by cells 701-760 as a lattice."""
+    zc = zfun.ZConfig(rs_min_t=700.5)
+    offsets = 0.5 * (np.polynomial.legendre.leggauss(16)[0] + 1.0)
+    cells = np.arange(700.0, 761.0)
+    ts = (cells[:, None] + offsets).ravel()
+    whole = zfun.z_many(ts, zc, lattice=(cells, offsets))
+    head = zfun.z_many(ts[:len(offsets)], zc)
+    tail = zfun.z_many(ts[len(offsets):], zc, lattice=(cells[1:], offsets))
+    for got, a, b in zip(whole, head, tail):
+        assert np.array_equal(got, np.concatenate([a, b]))

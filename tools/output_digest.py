@@ -25,6 +25,10 @@ COMMANDS = [
     ("z_300.json", ["z", "--t", "300", "--format", "json"]),
     ("z_5000.txt", ["z", "--t", "5000"]),
     ("z_300_rs.txt", ["z", "--t", "300", "--tol", "1e-7"]),
+    # bracket z_eval's route choice at the default target: reference at 620,
+    # Riemann-Siegel at 640
+    ("z_620.txt", ["z", "--t", "620"]),
+    ("z_640.txt", ["z", "--t", "640"]),
     ("theta_5.txt", ["theta", "--t", "5"]),
     ("theta_100.json", ["theta", "--t", "100", "--format", "json"]),
     ("mass_1000.txt", ["mass", "--t", "1000", "--checkpoint", "mass.ckpt"]),
