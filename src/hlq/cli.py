@@ -196,6 +196,7 @@ def _verify_reports(kind: str, args, cfg: hlmass.QuadratureConfig,
     """Reports of one ``hlq verify`` kind and any extra top-level keys;
     ``kind="all"``, which reads no --t or --delta, is also the verify part
     of ``hlq report``."""
+    ladder.check_c0(args.c0)
     t, delta = (None, None) if kind == "all" else (args.t, args.delta)
     jobs = args.jobs
     reports = []

@@ -59,10 +59,8 @@ CHECKPOINT_VERSION = "5"
 # the Z policy (zfun.z_many's default) of every checkpoint; a file naming another is refused
 CHECKPOINT_Z_CONFIG = {"correction_depth": 4, "rs_min_t": zfun.RS_MIN_T}
 
-# (Gauss-Legendre nodes per panel, widest panel): the fixed rule, and the
-# finer one the partition recheck integrates each interval with again
+# (Gauss-Legendre nodes per panel, widest panel): the fixed rule
 _RULE = (16, 1.0)
-_RECHECK_RULE = (24, 0.7)
 
 # damped_mass integrates up to where exp(-2 delta t) reaches this weight
 _DAMPED_TRUNCATION_EPS = 1e-14
@@ -388,13 +386,11 @@ def mass_cell(target: float, cfg: QuadratureConfig, ckpt: MassCheckpoint,
     return bisect.bisect_right(ckpt._is, target) - 1
 
 
-def hl_mass_between(t1: float, t2: float, _recheck: bool = False) -> float:
+def hl_mass_between(t1: float, t2: float) -> float:
     """Mass of [t1, t2] by direct panel quadrature (no large-value subtraction).
 
     It certifies nothing: the kernel's envelope is neither returned nor
     checked against a budget, and no checkpoint row is read.
-    ``_recheck`` selects the finer rule the partition recheck pass uses to
-    re-integrate with a different discretization.
     """
     t1, t2 = float(t1), float(t2)
     if not (0.0 <= t1 <= t2 and math.isfinite(t2)):
@@ -407,7 +403,7 @@ def hl_mass_between(t1: float, t2: float, _recheck: bool = False) -> float:
     if last - first >= 2:
         edges.extend(float(m) for m in range(first, last + 1) if t1 < m < t2)
     edges.append(t2)
-    vals, _ = _span_masses(edges, rule=_RECHECK_RULE if _recheck else _RULE)
+    vals, _ = _span_masses(edges)
     return pairwise_sum(vals)
 
 

@@ -35,10 +35,17 @@ class LadderPoint:
         return self.phi / self.T
 
 
+def check_c0(c0: float) -> None:
+    """Refuse a ``c0`` that is not finite, before any mass is integrated."""
+    if not math.isfinite(c0):
+        raise DomainError(f"c0 must be finite, got {c0!r}")
+
+
 def F_of(y: float, c0: float = 0.0) -> float:
     y = float(y)
     if not (y > 0.0 and math.isfinite(y)):
         raise DomainError("F_of requires y > 0")
+    check_c0(c0)
     h = 0.5 * y
     return h * math.log(h) + (EULER_GAMMA - LN_TWO_PI) * h + c0
 
@@ -81,6 +88,7 @@ def phi_at(T: float, cfg: hlmass.QuadratureConfig = hlmass.DEFAULT_CONFIG,
     T = float(T)
     if not (T >= PHI_T_MIN):
         raise DomainError(f"phi_at requires T >= {PHI_T_MIN:g}")
+    check_c0(c0)
     mass = hlmass.hl_mass(T, cfg=cfg, ckpt=ckpt, jobs=jobs)
     phi = F_inverse(mass, c0)
     return LadderPoint(T=T, phi=phi, mass=mass)

@@ -4,8 +4,9 @@ The sequence T_nu(omega, tau) solves I(T_nu) = omega*nu + tau on the
 lattice of masses, so consecutive points bound intervals of identical mass
 omega and tau = 0 degenerates to the unshifted sequence.  Each target is
 solved by Brent inside its integer cell [m, m + 1] of the checkpoint grid,
-so T_nu depends only on nu, omega, tau and the grid.  Each generated
-interval is re-integrated with a different panel discretization as an
+so T_nu depends only on nu, omega, tau and the grid; each root's partial
+cell must fit the budget where it is solved.  Each interval [T_nu, T_nu+1]
+is integrated again as one span under the finer ``_RECHECK_RULE`` as an
 independent check, and gap diagnostics compare against the chord identity
 gap = omega / ((ln(phi/2) - a) * tan(alpha)).
 
@@ -22,10 +23,12 @@ from dataclasses import dataclass
 from . import hlmass, zfun
 from ._util import brentq, check_positive_int
 from .errors import DomainError, InsufficientSpan, NoConvergence, PrecisionUnreachable
-from .ladder import A, F_inverse, LadderPoint, chord_tan_alpha
+from .ladder import A, F_inverse, LadderPoint, check_c0, chord_tan_alpha
 
 PLANCK_H = 6.6e-27
 _LATTICE_RTOL = 1e-9
+# (Gauss-Legendre nodes per panel, widest panel) of the interval recheck
+_RECHECK_RULE = (24, 0.7)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,8 @@ def predicted_gap(T_lo: LadderPoint, T_hi: LadderPoint, omega: float) -> float:
 def _solve_lattice(target: float, omega: float,
                    cfg: hlmass.QuadratureConfig, ckpt: hlmass.MassCheckpoint,
                    jobs: int = 1):
-    """(T, (I(T), envelope)) with I(T) = target, by Brent in its grid cell."""
+    """(T, I(T)) with I(T) = target, by Brent in its grid cell; the root's
+    partial-cell envelope must fit the budget."""
     bound = _LATTICE_RTOL * max(1.0, abs(target))
     if not (bound < omega):
         raise PrecisionUnreachable(f"omega {omega:g} is not above the lattice "
@@ -86,16 +90,16 @@ def _solve_lattice(target: float, omega: float,
     resid = abs(f(root))
     if resid > bound:
         raise NoConvergence(f"lattice solve residual {resid:.3g} at target {target:g}")
-    return root, probes[root]
+    return root, hlmass.check_budget(*probes[root], cfg, f"at T={root:g}")
 
 
 def _seed(params, cfg, ckpt, jobs):
-    """(nu0, T, (I(T), partial-cell envelope)) of ``seed_point``."""
+    """(nu0, T, I(T)) of ``seed_point``."""
     i_start = hlmass.hl_mass(params.T_start, cfg=cfg, ckpt=ckpt, jobs=jobs)
     nu0 = int(math.ceil((i_start - params.tau) / params.omega))
     target = params.omega * nu0 + params.tau
     if target == i_start:
-        return nu0, params.T_start, (i_start, 0.0)
+        return nu0, params.T_start, i_start
     return (nu0, *_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
 
 
@@ -117,8 +121,8 @@ def next_point(T_prev: float, omega: float,
     T_prev = float(T_prev)
     if not (T_prev >= 100.0):
         raise DomainError("next_point requires T_prev >= 100")
-    if not (omega > 0.0):
-        raise DomainError("next_point requires omega > 0")
+    if not (0.0 < omega < math.inf):
+        raise DomainError("next_point requires a finite omega > 0")
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
     i_prev = hlmass.hl_mass_probe(T_prev, cfg=cfg, ckpt=ckpt, jobs=jobs)
@@ -131,10 +135,13 @@ def generate(params: PartitionParams,
              c0: float = 0.0, jobs: int = 1) -> list[PartitionRecord]:
     """count+1 lattice points as records; the last row is the bare endpoint.
 
-    Masses are re-integrated independently of the lattice construction; phi
-    values for the chord diagnostics come from the realized cumulative
-    masses at the endpoints, which the solves computed and the budget checks.
+    Each interval's mass is integrated again as one span under
+    ``_RECHECK_RULE``, independently of the lattice construction, in one
+    kernel call per ``hlmass._CELL_BLOCK`` intervals; phi values for the
+    chord diagnostics come from the realized cumulative masses at the
+    endpoints, which the solves computed and checked against the budget.
     """
+    check_c0(c0)
     if ckpt is None:
         ckpt = hlmass.new_checkpoint(cfg)
     nu0, *solved = _seed(params, cfg, ckpt, jobs)
@@ -143,31 +150,18 @@ def generate(params: PartitionParams,
         target = params.omega * (nu0 + i) + params.tau
         solves.append(_solve_lattice(target, params.omega, cfg, ckpt, jobs=jobs))
     points = [t for t, _ in solves]
-    masses_i = [hlmass.check_budget(*row, cfg, f"at T={t:g}") for t, row in solves]
-    lps = [LadderPoint(T=t, phi=F_inverse(mi, c0), mass=mi)
-           for t, mi in zip(points, masses_i)]
-
-    masses = [hlmass.hl_mass_between(lo, hi, _recheck=True)
-              for lo, hi in zip(points, points[1:])]
+    lps = [LadderPoint(T=t, phi=F_inverse(mi, c0), mass=mi) for t, mi in solves]
+    blocks = range(0, params.count, hlmass._CELL_BLOCK)
+    masses = [m for b in blocks for m in hlmass._span_masses(
+        points[b:b + hlmass._CELL_BLOCK + 1], rule=_RECHECK_RULE)[0].tolist()]
 
     records = []
-    for i in range(params.count):
-        gap = points[i + 1] - points[i]
-        tan = chord_tan_alpha(lps[i], lps[i + 1])
-        pred = predicted_gap(lps[i], lps[i + 1], params.omega)
-        records.append(PartitionRecord(
-            nu=nu0 + i,
-            T=points[i],
-            gap=gap,
-            mass=masses[i],
-            tan_alpha=tan,
-            predicted_gap=pred,
-            rel_gap_err=abs(gap - pred) / gap,
-        ))
-    records.append(PartitionRecord(
-        nu=nu0 + params.count, T=points[-1], gap=None, mass=None,
-        tan_alpha=None, predicted_gap=None, rel_gap_err=None,
-    ))
+    for i, (lo, hi, mass) in enumerate(zip(lps, lps[1:], masses)):
+        gap, pred = hi.T - lo.T, predicted_gap(lo, hi, params.omega)
+        records.append(PartitionRecord(nu0 + i, lo.T, gap, mass,
+                                       chord_tan_alpha(lo, hi), pred,
+                                       abs(gap - pred) / gap))
+    records.append(PartitionRecord(nu0 + params.count, points[-1], *[None] * 5))
     return records
 
 

@@ -61,8 +61,8 @@ def _report(kind, inputs, observed, predicted, bound) -> ResidualReport:
 def main_term(T: float) -> float:
     """T ln T + (2c - 1 - ln 2pi) T, the smooth part of the second moment."""
     T = float(T)
-    if not (T > 0.0):
-        raise DomainError("main_term requires T > 0")
+    if not (0.0 < T < math.inf):
+        raise DomainError("main_term requires finite T > 0")
     return T * math.log(T) + (2.0 * zfun.EULER_GAMMA - 1.0 - zfun.LN_TWO_PI) * T
 
 

@@ -127,8 +127,8 @@ def theta(t: float) -> float:
 
 def theta_deriv(t: float) -> float:
     """d theta/dt; adequate for Newton steps (t >= 7)."""
-    if t <= 0:
-        raise DomainError("theta_deriv requires t > 0")
+    if not (0.0 < t < math.inf):
+        raise DomainError("theta_deriv requires finite t > 0")
     return 0.5 * math.log(t / TWO_PI) - 1.0 / (48.0 * t * t)
 
 

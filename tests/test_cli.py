@@ -252,6 +252,20 @@ def test_exit_code_domain_error(capsys):
     assert out == ""
 
 
+def test_non_finite_c0_is_refused_before_integrating(capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("a mass was integrated for a refused c0")
+    monkeypatch.setattr(hlmass, "_span_masses", integrate)
+    for argv in (("partition", "--count", "20", "--c0", "nan"),
+                 ("report", "--count", "20", "--c0=-inf", "--out", "unused"),
+                 ("ladder", "--t", "20000", "--c0", "inf", "--tol", "1e-8"),
+                 ("verify", "all", "--c0", "nan")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("domain_error: c0 must be finite")
+        assert out == ""
+
+
 def test_exit_code_conflict(capsys, tmp_path):
     ckpt = str(tmp_path / "default_tol.ckpt")
     code, _, _ = run_cli(capsys, "mass", "--t", "10", "--checkpoint", ckpt)

@@ -48,6 +48,9 @@ def test_f_domain():
         ladder.F_of(-3.0)
     with pytest.raises(DomainError):
         ladder.F_prime(0.0)
+    for c0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="c0"):
+            ladder.F_of(100.0, c0)
 
 
 def test_f_inverse_known_root(oracle):
@@ -95,6 +98,8 @@ def test_phi_at_reference(oracle, quad_cfg, shared_ckpt):
 def test_phi_at_domain(quad_cfg, shared_ckpt):
     with pytest.raises(DomainError):
         ladder.phi_at(50.0, cfg=quad_cfg, ckpt=shared_ckpt)
+    with pytest.raises(DomainError, match="c0"):
+        ladder.phi_at(1000.0, cfg=quad_cfg, ckpt=shared_ckpt, c0=math.nan)
 
 
 def test_chord_tan_alpha(quad_cfg, shared_ckpt):

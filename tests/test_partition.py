@@ -50,8 +50,31 @@ def test_next_point_unit_mass(quad_cfg, shared_ckpt):
 def test_next_point_domain(quad_cfg, shared_ckpt):
     with pytest.raises(DomainError):
         partition.next_point(50.0, 1.0, cfg=quad_cfg, ckpt=shared_ckpt)
-    with pytest.raises(DomainError):
-        partition.next_point(1000.0, 0.0, cfg=quad_cfg, ckpt=shared_ckpt)
+    for omega in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            partition.next_point(1000.0, omega, cfg=quad_cfg, ckpt=shared_ckpt)
+
+
+def test_every_lattice_root_is_budget_checked(monkeypatch, quad_cfg):
+    """seed_point and next_point refuse a root whose partial cell misses the
+    budget, as generate does: here every two-edge span reports 1e6 times its
+    envelope on a grid covered to 1010, so no partial cell fits."""
+    ck = hlmass.new_checkpoint(quad_cfg)
+    hlmass.hl_mass(1010.0, cfg=quad_cfg, ckpt=ck)
+    span_masses = hlmass._span_masses
+
+    def inflated(edges, *args, **kwargs):
+        vals, envs = span_masses(edges, *args, **kwargs)
+        return vals, envs * 1e6 if len(edges) == 2 else envs
+    monkeypatch.setattr(hlmass, "_span_masses", inflated)
+    with pytest.raises(PrecisionUnreachable, match="at T=1000.5"):
+        hlmass.hl_mass(1000.5, cfg=quad_cfg, ckpt=ck)
+    with pytest.raises(PrecisionUnreachable, match="at T=1000.3"):
+        partition.next_point(1000.0, 1.0, cfg=quad_cfg, ckpt=ck)
+    with pytest.raises(PrecisionUnreachable, match="at T=1000.2"):
+        partition.seed_point(partition.PartitionParams(T_start=1000.0),
+                             cfg=quad_cfg, ckpt=ck)
+    assert ck.int_cover == 1010
 
 
 @pytest.mark.parametrize("omega", [1e-6, 1e-12, 1e-20])
@@ -97,6 +120,36 @@ def test_walk_integrates_each_partial_cell_once(monkeypatch, quad_cfg):
     partition.generate(params, cfg=quad_cfg, ckpt=hlmass.new_checkpoint(quad_cfg))
     assert len(seen) > 100
     assert max(seen.values()) == 1
+
+
+def test_recheck_is_one_span_per_interval(monkeypatch, quad_cfg, shared_ckpt):
+    """Each mass is its interval integrated as one span under the recheck
+    rule, with one kernel call per 256 intervals: two for 300."""
+    calls = []
+    span_masses = hlmass._span_masses
+
+    def counted(edges, *args, **kwargs):
+        if kwargs.get("rule") == partition._RECHECK_RULE:
+            calls.append(len(edges))
+        return span_masses(edges, *args, **kwargs)
+    monkeypatch.setattr(hlmass, "_span_masses", counted)
+    params = partition.PartitionParams(T_start=1000.0, count=300)
+    records = partition.generate(params, cfg=quad_cfg, ckpt=shared_ckpt)
+    assert calls == [257, 45]
+    monkeypatch.undo()
+    for lo, hi in zip(records, records[1:]):
+        want, _ = hlmass._span_masses((lo.T, hi.T), rule=partition._RECHECK_RULE)
+        assert lo.mass == float(want[0])
+
+
+def test_long_gaps_recheck_to_omega(quad_cfg, shared_ckpt):
+    """At omega = 30 gaps reach several whole cells, each integrated as one
+    span; the recheck still finds omega."""
+    params = partition.PartitionParams(omega=30.0, T_start=1000.0, count=5)
+    records = partition.generate(params, cfg=quad_cfg, ckpt=shared_ckpt)
+    assert max(r.gap for r in records[:-1]) > 2.0
+    for r in records[:-1]:
+        assert abs(r.mass - params.omega) <= 1e-8 * params.omega
 
 
 def test_walk_extends_a_cover_below_a_recorded_row(tmp_path, quad_cfg, shared_ckpt):

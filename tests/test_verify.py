@@ -18,6 +18,9 @@ def test_main_term_values():
                                                      rel=1e-13)
     assert verify.main_term(100.0) == pytest.approx(292.17244493818123,
                                                     rel=1e-13)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            verify.main_term(bad)
 
 
 def test_report_shape(quad_cfg, shared_ckpt):

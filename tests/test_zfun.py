@@ -166,6 +166,15 @@ def test_z_eval_precision_unreachable(monkeypatch):
             zfun.z_eval(t, target_abs_err=target)
 
 
+def test_theta_domain():
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            zfun.theta(bad)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            zfun.theta_deriv(bad)
+
+
 def test_z_eval_domain():
     with pytest.raises(DomainError):
         zfun.z_eval(-1.0)

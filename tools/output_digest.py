@@ -41,6 +41,9 @@ COMMANDS = [
                              "--checkpoint", "mass.ckpt", "--format", "json"]),
     (None, ["partition", "--start", "1000", "--count", "20",
             "--checkpoint", "partition.ckpt", "--out", "partition.csv"]),
+    # gaps of two or more whole cells: the recheck integrates each as one span
+    (None, ["partition", "--start", "1000", "--count", "5", "--omega", "30",
+            "--out", "partition_omega30.csv"]),
     (None, ["partition", "--start", "1000", "--count", "20", "--tau", "0.25",
             "--format", "json", "--jobs", "2", "--out", "partition.json"]),
     (None, ["planck", "--t", "10002", "--count", "1000", "--out", "planck.csv"]),
