@@ -19,7 +19,8 @@ from .errors import (CheckpointConflict, CheckpointIOError, DomainError,
 from .gram import GramRecord, GramSummary, gram_point, gram_spacing_report, gram_t
 from .hlmass import (MassCheckpoint, QuadratureConfig, check_compat,
                      damped_mass, damped_masses, hl_mass, hl_mass_between,
-                     load_checkpoint, new_checkpoint, save_checkpoint)
+                     load_checkpoint, new_checkpoint, save_checkpoint,
+                     verify_rows)
 from .ladder import (LadderPoint, F_inverse, F_of, F_prime, chord_tan_alpha,
                      phi_at)
 from .partition import (PLANCK_H, MeanGapStat, PartitionParams,
@@ -40,7 +41,7 @@ __all__ = [
     "GramRecord", "GramSummary", "gram_point", "gram_spacing_report", "gram_t",
     "MassCheckpoint", "QuadratureConfig", "check_compat", "damped_mass",
     "damped_masses", "hl_mass", "hl_mass_between", "load_checkpoint",
-    "new_checkpoint", "save_checkpoint",
+    "new_checkpoint", "save_checkpoint", "verify_rows",
     "LadderPoint", "F_inverse", "F_of", "F_prime", "chord_tan_alpha",
     "phi_at",
     "PLANCK_H", "MeanGapStat", "PartitionParams", "PartitionRecord",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library: z, theta, mass, ladder,
-partition, planck, gram, verify, report.  Scalar results print as
-key = value lines (or JSON with --format json); sequence results emit CSV
-with a header row and 17-significant-digit numerics, so reruns with the
-same configuration and checkpoint are byte-identical.
+partition, planck, gram, verify, report, checkpoint verify.  Scalar
+results print as key = value lines (or JSON with --format json); sequence
+results emit CSV with a header row and 17-significant-digit numerics, so
+reruns with the same configuration and checkpoint are byte-identical.
 
 Exit codes: 0 success, 1 computation error (error kind on stderr),
 2 usage error.
@@ -232,6 +232,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _cmd_checkpoint(args) -> int:
+    ck = hlmass.load_checkpoint(args.path)
+    hlmass.verify_rows(ck, jobs=args.jobs)
+    _emit_scalars([("path", args.path), ("rows", len(ck)), ("tol", fmt17(ck.tol)),
+                   ("verified", "true")], args.format, args.out)
+    return 0
+
+
 def emit_report(output_dir: str, params, records, gram_records, reports,
                 tka_slope, mean_gap) -> None:
     """Write the report bundle: CSV/JSON tables plus SVG plots."""
@@ -380,6 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_report)
     _add_walk(p, count=200)
     _add_common(p, fmt=False, out_dir=True)
+
+    p = sub.add_parser("checkpoint", help="recompute and check every row of "
+                                          "a checkpoint file")
+    p.set_defaults(run=_cmd_checkpoint)
+    p.add_argument("action", choices=("verify",))
+    p.add_argument("path")
+    p.add_argument("--jobs", type=int, default=1)
+    _add_common(p, checkpoint=False)
 
     return ap
 

@@ -18,10 +18,11 @@ and checked against the requested relative tolerance.
 
 A span [a, b] with P panels takes the nodes a + (b - a) c_k of one cached
 unit rule per (nodes, P).  A run of whole cells [m, m+1] with one P goes to
-Z as a lattice, nodes m + c_k, whose Riemann-Siegel main sum factors into
-per-cell and per-offset phase tables (``zfun.z_many``).  Each span is
-reduced in index order by ``np.add.reduceat``, so a span's value depends
-only on its own edges, not on the spans batched with it.
+Z as a lattice, nodes m + c_k, whose Dirichlet sum, Euler-Maclaurin below
+``rs_min_t`` and Riemann-Siegel above, factors into per-cell and
+per-offset phase tables with one term count per cell (``zfun.z_many``).
+Each span is reduced in index order by ``np.add.reduceat``, so a span's
+value depends only on its own edges, not on the spans batched with it.
 
 Checkpoints
 -----------
@@ -55,7 +56,7 @@ from .errors import (
     PrecisionUnreachable,
 )
 
-CHECKPOINT_VERSION = "5"
+CHECKPOINT_VERSION = "6"
 # the Z policy (zfun.z_many's default) of every checkpoint; a file naming another is refused
 CHECKPOINT_Z_CONFIG = {"correction_depth": 4, "rs_min_t": zfun.RS_MIN_T}
 
@@ -296,6 +297,22 @@ def _cells_masses(m0: int, m1: int, jobs: int = 1, damp=0.0):
     else:
         results = [block_masses(edges) for edges in blocks]
     return tuple(np.concatenate(col, axis=-1) for col in zip(*results))
+
+
+def verify_rows(ckpt: MassCheckpoint, jobs: int = 1) -> None:
+    """Recompute every cell of the grid and check each row against the row
+    below it: row m must be fl(I(m - 1) + S(m - 1, m)), bit for bit, as
+    ``_ensure_cover`` wrote it.  Raises ``FormatError`` at the first m
+    where it is not, naming T and both values."""
+    check_positive_int("jobs", jobs)
+    if not ckpt.int_cover:
+        return
+    vals, _ = _cells_masses(0, ckpt.int_cover, jobs=jobs)
+    rows = ckpt._is
+    for m, s in enumerate(vals.tolist(), start=1):
+        if rows[m - 1] + s != rows[m]:
+            raise FormatError(f"row T={m} holds I={rows[m]!r}, but I({m - 1}) "
+                              f"plus its cell mass is {rows[m - 1] + s!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,16 @@ Three evaluation routes, each with a certified absolute-error envelope:
 * the reference route: Euler-Maclaurin evaluation of zeta(1/2 + it) with
   the classical remainder bound, rotated onto Z.  Slow but valid at any
   height here considered; ``z_many`` uses it below ``ZConfig.rs_min_t``.
-* the Riemann-Siegel route: main sum plus four correction terms.
-  ``z_eval`` uses it from ``T_SWITCH`` up when its envelope meets the
-  requested target, otherwise it falls back to the reference route.  On
-  the nodes of whole unit cells ``z_many`` factors the main sum over a
-  lattice of cells and offsets (``_lattice_main_sum``).
+* the Riemann-Siegel route: main sum plus four correction terms, each
+  C_k evaluated by its parity in x = p - 1/2.  ``z_eval`` uses it from
+  ``T_SWITCH`` up when its envelope meets the requested target, otherwise
+  it falls back to the reference route.
+
+On the nodes of whole unit cells ``z_many`` factors the Dirichlet sum of
+either route over a lattice of cells and offsets (``_lattice_sum``), with
+a term count per cell: N_m = max(50, floor(0.6 (m + 1)) + 1) for the
+reference route, floor(sqrt(m/2pi)) for the RS main sum.  Partial spans,
+cells that straddle ``rs_min_t`` and ``z_eval`` take N per point.
 
 The RS truncation envelope ``RS_TRUNC_C * t^(-11/4)`` (t >= 25) is
 empirical, not a proved bound: against mpmath at 150 points on [25, 1e6]
@@ -146,20 +151,23 @@ def _bernoulli_even():
     return tuple(float(b[2 * k]) for k in range(18))
 
 
-def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
-    """Euler-Maclaurin zeta(1/2+it) for a block of t, shared term count.
+def _zeta_em_block(ts: np.ndarray, n_terms, m_terms: int, head=None):
+    """Euler-Maclaurin zeta(1/2+it) for a block of t.
 
+    N is ``n_terms``: one int for the block, or an int array with one N per
+    point.  ``head`` is the Dirichlet part sum_{n<N} n^-s when the caller
+    has it (the cell lattice); otherwise it is summed here with the one N.
     Returns (values, remainder_bounds, roundoff_envelopes) with per-point
     bound arrays; the remainder bound is the classical one: first omitted
     term times |s+2M+1|/(sigma+2M+1).
     """
     s = 0.5 + 1j * ts
-    ns = np.arange(1, n_terms, dtype=np.float64)
-    logn = np.log(ns)
-    acc = np.exp(-s[:, None] * logn[None, :]).sum(axis=1)
-    n = float(n_terms)
-    n_pow = np.exp(-s * math.log(n))  # N^-s
-    val = acc + n * n_pow / (s - 1.0) + 0.5 * n_pow
+    if head is None:
+        logn = np.log(np.arange(1, n_terms, dtype=np.float64))
+        head = np.exp(-s[:, None] * logn[None, :]).sum(axis=1)
+    n = np.asarray(n_terms, dtype=np.float64)
+    n_pow = np.exp(-s * _log_n(n))  # N^-s
+    val = head + n * n_pow / (s - 1.0) + 0.5 * n_pow
     bern = _bernoulli_even()
     u = (bern[1] / 2.0) * s / n  # U_1; T_k = N^-s * U_k
     tail = np.zeros_like(s)
@@ -178,11 +186,19 @@ def _zeta_em_block(ts: np.ndarray, n_terms: int, m_terms: int):
     return val, rem_bound, _em_roundoff(ts, n_terms, m_terms)
 
 
-def _em_roundoff(ts, n_terms: int, m_terms: int):
+def _log_n(n):
+    """libm's log of each N, taken once per distinct N: numpy's own log
+    differs from it in the last bit at some integers, and an N in an array
+    must give the bits it gives as a Python int."""
+    uniq, inv = np.unique(n, return_inverse=True)
+    return np.array([math.log(v) for v in uniq.tolist()])[inv].reshape(np.shape(n))
+
+
+def _em_roundoff(ts, n_terms, m_terms: int):
     """Roundoff envelope of ``_zeta_em_block``, per point whatever the batch."""
-    n = float(n_terms)
-    return 2.0 * math.sqrt(n) * EPS * np.maximum(1.0, ts * max(1.0, math.log(n))) * 1.5 \
-        + (n_terms + m_terms) * EPS * 3.0
+    n = np.asarray(n_terms, dtype=np.float64)
+    return 2.0 * np.sqrt(n) * EPS * np.maximum(1.0, ts * np.maximum(1.0, _log_n(n))) * 1.5 \
+        + (n + m_terms) * EPS * 3.0
 
 
 def _z_from_zeta(ts: np.ndarray, zeta_vals: np.ndarray, zeta_env):
@@ -222,6 +238,16 @@ def _z_reference(ts: np.ndarray):
     return out, env, n_arr
 
 
+def _z_reference_lattice(ts, cells, offsets):
+    """Reference-route Z at the nodes ts = cells[:, None] + offsets, raveled,
+    of whole cells: (values, envelopes).  Cell m takes N_m = N(m + 1), the
+    count of its right edge and so at least that of each of its nodes."""
+    n_cell = _em_terms(cells + 1.0)
+    vals, rem, ro = _zeta_em_block(ts, np.repeat(n_cell, len(offsets)), _EM_M,
+                                   _lattice_sum(cells, offsets, n_cell - 1))
+    return _z_from_zeta(ts, vals, rem + ro)
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Siegel route
 # ---------------------------------------------------------------------------
@@ -240,13 +266,18 @@ def rs_roundoff_env(t):
 
 
 def _rs_corrections(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k C_k(x) q^k with x = p - 1/2.  C_k has the parity of k, so its
+    table's other-parity coefficients are exact zeros: C_k is evaluated as
+    x^(k mod 2) times a Horner polynomial in x^2 of its nonzero ones."""
     x = p - 0.5
+    x2 = x * x
     corr = np.zeros_like(p)
-    for tab in reversed(RS_C_TABLES):
-        v = np.full_like(p, tab[-1])
-        for c in reversed(tab[:-1]):
-            v = v * x + c
-        corr = corr * q + v
+    for k in reversed(range(len(RS_C_TABLES))):
+        coefs = RS_C_TABLES[k][k % 2::2]
+        v = np.full_like(p, coefs[-1])
+        for c in reversed(coefs[:-1]):
+            v = v * x2 + c
+        corr = corr * q + (v * x if k % 2 else v)
     return corr
 
 
@@ -264,40 +295,46 @@ def _add_cos_terms(ts, th, n_lo, n_hi, out) -> None:
             out[i0:i1] += np.cos(th[i0:i1] - ts[i0:i1] * math.log(n)) / math.sqrt(n)
 
 
-def _lattice_main_sum(th, cells, offsets):
-    """sum_{n <= N_m} n^(-1/2) cos(theta(t) - t ln n) at the nodes t = m + c_k
-    of whole cells m in ``cells`` (ascending), offsets c_k in ``offsets``;
-    returns (sums, N_m per node).
+# rows of the (terms x cells) phase table built at once: 256 KB for a
+# 256-cell block, where the reference route's whole table would take 1.7 MB
+_TABLE_ROWS = 64
 
-    With t = m + c_k the sum is Re(e^(i theta) sum_n [n^(-1/2) e^(-i m ln n)]
-    e^(-i c_k ln n)): a (cells x N) and an (offsets x N) phase table replace
-    the cells * offsets * N cosines of the pointwise sum.  The terms are
+
+def _lattice_sum(cells, offsets, n_cell):
+    """S_m(c_k) = sum_{n <= K_m} n^(-1/2) e^(-i (m + c_k) ln n) at the nodes
+    m + c_k of whole cells m in ``cells`` (ascending), offsets c_k in
+    ``offsets``, with the per-cell counts K_m = ``n_cell`` nondecreasing;
+    returns the sums raveled, cell by cell.
+
+    n^(-1/2) e^(-i t ln n) = [n^(-1/2) e^(-i m ln n)] e^(-i c_k ln n): a
+    (cells x K) and an (offsets x K) phase table replace the
+    cells * offsets * K exponentials of the pointwise sum.  The terms are
     accumulated by elementwise complex multiply-adds in ascending n, no BLAS
-    product, so a node's bits do not depend on the cells beside it; for the
-    same reason each cell takes its dense term count N_m = floor(sqrt(m/2pi))
-    from the cell itself, never from its block.
+    product, so a node's bits do not depend on the cells beside it as long
+    as each K_m is a function of the cell m alone, never of its block.
 
-    Phase error: the sum is taken at the exact m + c_k while theta is taken
-    at the node fl(m + c_k).  Per term, the phase m ln n carries the
-    roundings of ln n and of the product, each at most (eps/2) m ln n, and
-    the node's rounding adds |fl(m + c_k) - (m + c_k)| ln n <= (eps/2) t ln n:
-    at most (3/2) eps t ln n, as for the pointwise phase t ln n.  Since
-    n <= sqrt(t/2pi), ln n < (ln t)/2, so this stays within the eps t ln t
-    per term that ``rs_roundoff_env`` charges; the offset phases c_k ln n
+    Phase error: the sum is taken at the exact m + c_k while theta and the
+    rest of Z are taken at the node fl(m + c_k).  Per term, the phase
+    m ln n carries the roundings of ln n and of the product, each at most
+    (eps/2) m ln n, and the node's rounding adds
+    |fl(m + c_k) - (m + c_k)| ln n <= (eps/2) t ln n: at most
+    (3/2) eps t ln n, as for the pointwise phase t ln n, which is what each
+    route's roundoff envelope charges per term; the offset phases c_k ln n
     and the complex products add O(eps) relative per term.
     """
-    n_cell = np.floor(np.sqrt(cells / TWO_PI)).astype(np.int64)
     n_max = int(n_cell[-1])
     logs = np.array([math.log(n) for n in range(1, n_max + 1)])
     inv_root = 1.0 / np.sqrt(np.arange(1.0, n_max + 1.0))
-    cell_f = np.exp(-1j * (logs[:, None] * cells[None, :])) * inv_root[:, None]
     off_f = np.exp(-1j * (logs[:, None] * offsets[None, :]))
     acc = np.zeros((len(cells), len(offsets)), dtype=np.complex128)
     for n in range(1, n_max + 1):
+        j = (n - 1) % _TABLE_ROWS
+        if j == 0:  # the cell table's next rows, n .. n + _TABLE_ROWS - 1
+            rows = slice(n - 1, n - 1 + _TABLE_ROWS)
+            cell_f = np.exp(-1j * (logs[rows, None] * cells[None, :])) * inv_root[rows, None]
         i0 = int(np.searchsorted(n_cell, n, side="left"))
-        acc[i0:] += cell_f[n - 1, i0:, None] * off_f[n - 1]
-    s = acc.ravel()
-    return np.cos(th) * s.real - np.sin(th) * s.imag, np.repeat(n_cell, len(offsets))
+        acc[i0:] += cell_f[j, i0:, None] * off_f[n - 1]
+    return acc.ravel()
 
 
 def _z_rs_block(ts: np.ndarray, lattice=None):
@@ -307,8 +344,11 @@ def _z_rs_block(ts: np.ndarray, lattice=None):
     block, so term n applies exactly to the suffix where N >= n.  With
     ``lattice = (cells, offsets)`` the last len(cells) * len(offsets) points
     are the whole-cell nodes cells[:, None] + offsets: their dense terms
-    n <= N_m come from ``_lattice_main_sum`` and the at most one term more,
-    for nodes past sqrt(t/2pi) = N_m + 1, is added pointwise.
+    n <= N_m = floor(sqrt(m/2pi)) come from ``_lattice_sum`` and the at most
+    one term more, for nodes past sqrt(t/2pi) = N_m + 1, is added pointwise.
+    The main sum is Re(e^(i theta) S), and n <= sqrt(t/2pi) gives
+    ln n < (ln t)/2, so the lattice phase error is within the eps t ln t per
+    term that ``rs_roundoff_env`` charges.
     """
     a = np.sqrt(ts / TWO_PI)
     n_of_t = np.floor(a).astype(np.int64)
@@ -316,8 +356,12 @@ def _z_rs_block(ts: np.ndarray, lattice=None):
     total = np.zeros_like(ts)
     n_lo = np.zeros_like(n_of_t)
     if lattice is not None:
-        j = len(ts) - len(lattice[0]) * len(lattice[1])
-        total[j:], n_lo[j:] = _lattice_main_sum(th[j:], *lattice)
+        cells, offsets = lattice
+        j = len(ts) - len(cells) * len(offsets)
+        n_cell = np.floor(np.sqrt(cells / TWO_PI)).astype(np.int64)
+        sums = _lattice_sum(cells, offsets, n_cell)
+        total[j:] = np.cos(th[j:]) * sums.real - np.sin(th[j:]) * sums.imag
+        n_lo[j:] = np.repeat(n_cell, len(offsets))
     _add_cos_terms(ts, th, n_lo, n_of_t, total)
     total *= 2.0
     p = a - n_of_t
@@ -340,9 +384,9 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     above.  This is the integrand path used by the quadrature; envelopes are
     per-point certified absolute errors.  ``lattice = (cells, offsets)``
     says that ts is cells[:, None] + offsets, raveled: the nodes of whole
-    cells [m, m+1].  Cells with every node on the RS route then take the
-    factored main sum; a cell that straddles a custom ``rs_min_t`` is
-    evaluated pointwise.
+    cells [m, m+1].  Each cell with every node on one route then takes the
+    factored Dirichlet sum of that route (``_lattice_sum``); a cell that
+    straddles a custom ``rs_min_t`` is evaluated pointwise.
     """
     ts = as_float_array(ts)
     if len(ts) == 0:
@@ -357,18 +401,20 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     out = np.empty_like(ts)
     env = np.empty_like(ts)
     split = int(np.searchsorted(ts, z_config.rs_min_t, side="left"))
-    if split:
-        out[:split], env[:split], _ = _z_reference(ts[:split])
+    # ts[:low] are the whole cells below rs_min_t, ts[high:] those above
+    low, high = 0, len(ts)
+    if lattice is not None:
+        cells, offsets = lattice
+        k = len(offsets)
+        low, high = split // k * k, -(-split // k) * k
+    if low:
+        out[:low], env[:low] = _z_reference_lattice(ts[:low], cells[:low // k],
+                                                    offsets)
+    if low < split:
+        out[low:split], env[low:split], _ = _z_reference(ts[low:split])
     if split < len(ts):
-        rs_lattice = None
-        if lattice is not None:
-            cells, offsets = lattice
-            first = -(-split // len(offsets))  # first cell wholly on the RS route
-            if first < len(cells):
-                rs_lattice = (cells[first:], offsets)
-        z, e = _z_rs_block(ts[split:], rs_lattice)
-        out[split:] = z
-        env[split:] = e
+        rs_lattice = (cells[high // k:], offsets) if high < len(ts) else None
+        out[split:], env[split:] = _z_rs_block(ts[split:], rs_lattice)
     return out, env
 
 

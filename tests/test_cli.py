@@ -285,6 +285,39 @@ def test_exit_code_bad_checkpoint(capsys, tmp_path):
     assert err.startswith("format_error:")
 
 
+def test_version_5_checkpoint_is_refused(capsys, tmp_path):
+    """A version "5" grid holds other bits than this version computes:
+    mass refuses it and leaves the file as it was."""
+    path = tmp_path / "v5.ckpt"
+    header = {"tol": 1e-9, "version": "5", "z_config": hlmass.CHECKPOINT_Z_CONFIG}
+    text = json.dumps(header, sort_keys=True) + "\n0\t0\n1\t1.2429228616011501\n"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "mass", "--t", "10",
+                             "--checkpoint", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("format_error: unsupported checkpoint version '5'")
+    assert path.read_text() == text
+
+
+def test_checkpoint_verify(capsys, tmp_path):
+    """checkpoint verify passes a file as written and names the first row
+    that is not the row below it plus its cell mass."""
+    path = tmp_path / "g.ckpt"
+    assert run_cli(capsys, "mass", "--t", "120", "--checkpoint", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "checkpoint", "verify", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["rows = 121", "tol = 1.0000000000000001e-09",
+                                    "verified = true"]
+    lines = path.read_text().splitlines()
+    t, v = lines[1 + 100].split("\t")
+    lines[1 + 100] = f"{t}\t{float(v) - 1e-3!r}"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "checkpoint", "verify", str(path),
+                             "--jobs", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("format_error: row T=100 holds I=")
+
+
 def test_exit_code_usage():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

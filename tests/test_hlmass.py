@@ -108,13 +108,16 @@ def test_extension_path_independent(quad_cfg):
 
 
 def test_extension_path_independent_on_the_lattice():
-    """Above rs_min_t whole cells take the lattice main sum; a cell's bits
-    must not depend on the block it was extended in."""
+    """Whole cells take the factored Dirichlet sum of their route, with
+    the term count of the cell; a cell's bits must not depend on the block
+    it was extended in.  The steps split 256-cell blocks where the
+    reference route's per-cell count N_m changes and across rs_min_t."""
     cfg = hlmass.QuadratureConfig()
     one = hlmass.new_checkpoint(cfg)
     hlmass.hl_mass(1300.0, cfg=cfg, ckpt=one)
     steps = hlmass.new_checkpoint(cfg)
-    hlmass.hl_mass(700.0, cfg=cfg, ckpt=steps)
+    for t in (255.0, 256.0, 511.0, 699.0, 700.0):
+        hlmass.hl_mass(t, cfg=cfg, ckpt=steps)
     for m in range(701, 761):
         hlmass.hl_mass(float(m), cfg=cfg, ckpt=steps)
     # uneven steps whose 256-cell blocks end at other cells than one's
@@ -124,9 +127,12 @@ def test_extension_path_independent_on_the_lattice():
     assert len(one) == 1301
 
 
-# (first cell, cell count): P = 2 at 700; P goes 2 -> 3 at cell 3364 and
-# 3 -> 4 at cell 77859 (right edges past 2 pi e^(2 pi), 2 pi e^(3 pi))
-_LATTICE_BANDS = [(700, 2), (3363, 2), (77858, 2), (100000, 1)]
+# (first cell, cell count): the reference route below 700 at P = 1 and 2
+# (P goes 1 -> 2 at cell 145, right edge past 2 pi e^pi), up to its last
+# cell 699; RS from 700 at P = 2; P goes 2 -> 3 at cell 3364 and 3 -> 4 at
+# cell 77859 (right edges past 2 pi e^(2 pi), 2 pi e^(3 pi))
+_LATTICE_BANDS = [(0, 2), (300, 2), (698, 2), (700, 2), (3363, 2),
+                  (77858, 2), (100000, 1)]
 
 
 @pytest.mark.parametrize("m0,count", _LATTICE_BANDS)
@@ -166,6 +172,7 @@ def test_jobs_must_be_a_positive_int(quad_cfg, jobs):
         lambda: hlmass.damped_mass(0.5, cfg=quad_cfg, jobs=jobs),
         lambda: partition.generate(partition.PartitionParams(count=2),
                                    cfg=quad_cfg, ckpt=ck, jobs=jobs),
+        lambda: hlmass.verify_rows(ck, jobs=jobs),
     )
     for call in calls:
         with pytest.raises(DomainError):
@@ -231,6 +238,8 @@ def _edit_header(lines, edit):
      "version 3"),
     (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"4"')] + L[1:],
      "version 4"),
+    (lambda L: [L[0].replace(f'"{hlmass.CHECKPOINT_VERSION}"', '"5"')] + L[1:],
+     "version 5"),
     (lambda L: [L[0]] + L[2:], "missing 0 row"),
     (lambda L: L + ["5\tnot_a_number"], "bad float"),
     (lambda L: L + [L[-1]], "duplicate T"),
@@ -297,6 +306,33 @@ def test_checkpoint_refuses_a_shifted_partial_row(tmp_path, quad_cfg,
     bad.write_text("\n".join(lines + [f"300.5\t{i_mid - 1e-3!r}"]) + "\n")
     with pytest.raises(FormatError, match="line 303: row T=300.5 where T=301 is due"):
         hlmass.load_checkpoint(str(bad))
+
+
+@pytest.fixture(scope="module")
+def grid_2000_file(tmp_path_factory):
+    cfg = hlmass.QuadratureConfig(rel_tol=1e-7)
+    ck = hlmass.new_checkpoint(cfg)
+    hlmass.hl_mass(2000.0, cfg=cfg, ckpt=ck)
+    path = tmp_path_factory.mktemp("grid") / "g2000.ckpt"
+    hlmass.save_checkpoint(ck, str(path))
+    return path
+
+
+def test_verify_rows_names_a_shifted_row(grid_2000_file, tmp_path):
+    """Row 1003 shifted by -1e-3 keeps the column monotone and loads, but
+    breaks I(1003) = I(1002) + S(1002, 1003); the unedited file and the
+    bare grid pass."""
+    hlmass.verify_rows(hlmass.load_checkpoint(str(grid_2000_file)))
+    hlmass.verify_rows(hlmass.new_checkpoint())
+    lines = grid_2000_file.read_text().splitlines()
+    t, v = lines[1 + 1003].split("\t")
+    assert t == "1003"
+    lines[1 + 1003] = f"{t}\t{float(v) - 1e-3!r}"
+    bad = tmp_path / "shifted.ckpt"
+    bad.write_text("\n".join(lines) + "\n")
+    ck = hlmass.load_checkpoint(str(bad))
+    with pytest.raises(FormatError, match="row T=1003 holds I="):
+        hlmass.verify_rows(ck, jobs=2)
 
 
 def test_insert_monotonicity_guard(quad_cfg):
@@ -406,14 +442,21 @@ def test_damped_budget_is_the_mass_budget():
 
 
 # damped_mass(delta).hex() along verify.TKA_DELTAS, one integral per delta
-FROZEN_DAMPED = ("0x1.2e74ba8e60519p+4", "0x1.a09573c86d90bp+5",
-                 "0x1.0f65965a41220p+7", "0x1.519650ab6b036p+8")
+FROZEN_DAMPED = ("0x1.2e74ba8e6051ap+4", "0x1.a09573c86d908p+5",
+                 "0x1.0f65965a4121bp+7", "0x1.519650ab6b02dp+8")
+# the same under checkpoint version "5", before the cells below rs_min_t
+# took the lattice sum and the RS corrections the parity Horner
+FROZEN_DAMPED_V5 = ("0x1.2e74ba8e60519p+4", "0x1.a09573c86d90bp+5",
+                    "0x1.0f65965a41220p+7", "0x1.519650ab6b036p+8")
 
 
 def test_damped_batch_is_each_damped_mass(quad_cfg):
     deltas = (0.04, 0.02, 0.01, 0.005)
     batch = hlmass.damped_masses(deltas, cfg=quad_cfg)
     assert batch == [float.fromhex(h) for h in FROZEN_DAMPED]
+    # each moved by far less than its budget 0.5 * rel_tol * value
+    for v, old in zip(batch, FROZEN_DAMPED_V5):
+        assert abs(v - float.fromhex(old)) <= 0.5 * quad_cfg.rel_tol * v
     assert batch == [hlmass.damped_mass(d, cfg=quad_cfg) for d in deltas]
     assert hlmass.damped_masses(deltas, cfg=quad_cfg, jobs=2) == batch
 

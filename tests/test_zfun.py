@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlq import zfun
+from hlq._rs_coeffs import RS_C_TABLES
 from hlq.errors import DomainError, PrecisionUnreachable
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "z_oracle_200.json")
@@ -153,6 +155,26 @@ def test_em_chunked_run_matches_slices():
               11080: "0x1.fab8dd59f33fdp-2", 11999: "0x1.f2fdc0caf424bp-8"}
     for i, bits in pinned.items():
         assert float(z[i]).hex() == bits, i
+
+
+def test_rs_corrections_by_parity():
+    """C_k has the parity of k: every coefficient of the other parity is an
+    exact zero, and the parity Horner is within a few ulp of the exact
+    value of the full tables at seeded (p, q)."""
+    for k, tab in enumerate(RS_C_TABLES):
+        assert all(c == 0.0 for c in tab[1 - k % 2::2]), k
+    rng = np.random.default_rng(24)
+    p = np.r_[rng.uniform(0.0, 1.0, 200), 0.0, 0.5, 1.0 - 2.0 ** -53]
+    q = np.r_[rng.uniform(0.0, 0.8, 200), 0.8, 0.1, 0.5]
+    got = zfun._rs_corrections(p, q)
+    for pk, qk, g in zip(p.tolist(), q.tolist(), got.tolist()):
+        x, exact = Fraction(pk) - Fraction(1, 2), Fraction(0)
+        for tab in reversed(RS_C_TABLES):
+            v = Fraction(0)
+            for c in reversed(tab):
+                v = v * x + Fraction(c)
+            exact = exact * Fraction(qk) + v
+        assert abs(g - float(exact)) <= 4 * math.ulp(float(exact)), (pk, qk)
 
 
 def test_z_eval_precision_unreachable(monkeypatch):

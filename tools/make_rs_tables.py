@@ -12,6 +12,13 @@ builds those series by exact power-series division at 170 decimal digits
 x = +-1/4 amplify coefficient noise by 4^n) and truncates each table once the
 dropped tail is below 1e-19 at the interval edge.
 
+Parity: -cos(2*pi*x^2 - 5*pi/8)/cos(2*pi*x) is even in x, so its j-th
+derivative has the parity of j.  C_k combines the derivatives of orders
+3k, 3k - 4, 3k - 8, ... (the ``c_terms`` below), all of the parity of k:
+C0, C2 and C4 are even in x and C1 and C3 are odd, and each table's
+coefficients of the other parity are exact zeros.  ``zfun._rs_corrections``
+evaluates C_k as x^(k mod 2) times a polynomial in x^2 of the others.
+
 Requires mpmath.  Run:  python3 tools/make_rs_tables.py
 """
 
