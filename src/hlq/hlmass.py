@@ -20,7 +20,9 @@ A span [a, b] with P panels takes the nodes a + (b - a) c_k of one cached
 unit rule per (nodes, P).  A run of whole cells [m, m+1] with one P goes to
 Z as a lattice, nodes m + c_k, whose Dirichlet sum, Euler-Maclaurin below
 ``rs_min_t`` and Riemann-Siegel above, factors into per-cell and
-per-offset phase tables with one term count per cell (``zfun.z_many``).
+per-offset phase tables with one term count per cell; the nodes of any
+other span go to Z as one-node cells, each with its own term count
+(``zfun.z_many``).
 Each span is reduced in index order by ``np.add.reduceat``, so a span's
 value depends only on its own edges, not on the spans batched with it.
 
@@ -171,9 +173,12 @@ def load_checkpoint(path: str) -> MassCheckpoint:
     zc = json.dumps(header["z_config"], sort_keys=True)
     if zc != json.dumps(CHECKPOINT_Z_CONFIG, sort_keys=True):
         raise FormatError(f"checkpoint z_config {zc} is not the fixed Z policy")
+    tol = header["tol"]
+    if not isinstance(tol, float):  # a JSON string or bool is not a tolerance
+        raise FormatError(f"checkpoint tol {tol!r} is not a number")
     try:
-        ck = MassCheckpoint(QuadratureConfig(float(header["tol"])).rel_tol)
-    except (TypeError, ValueError) as exc:
+        ck = MassCheckpoint(QuadratureConfig(tol).rel_tol)
+    except DomainError as exc:
         raise FormatError(f"malformed checkpoint header: {exc}") from exc
     is_ = []
     for ln_no, ln in enumerate(lines[1:], start=2):
@@ -238,11 +243,12 @@ def _span_masses(edges, damp=0.0, rule=_RULE):
     Every nonempty span gets the unit rule of its panel count, and each run
     of spans with one panel count gets its nodes by one broadcast.  A run of
     whole cells [m, m+1] goes to Z as a lattice, with the nodes m + c_k;
-    other spans take the pointwise main sum.  Each span's terms are reduced
-    in index order by ``np.add.reduceat``, so a span's value does not depend
-    on which other spans share its call.  The envelope covers the certified
-    point errors |d(f^2)| <= (2|f|+e)*e plus summation roundoff.  Every
-    damp weights the same Z values, independently of the other damps.
+    the nodes of other spans go as one-node cells.  Each span's terms are
+    reduced in index order by ``np.add.reduceat``, so a span's value does
+    not depend on which other spans share its call.  The envelope covers
+    the certified point errors |d(f^2)| <= (2|f|+e)*e plus summation
+    roundoff.  Every damp weights the same Z values, independently of the
+    other damps.
     """
     edges = np.asarray(edges, dtype=np.float64)
     damps = damp if np.ndim(damp) else (damp,)

@@ -12,17 +12,21 @@ Three evaluation routes, each with a certified absolute-error envelope:
   ``T_SWITCH`` up when its envelope meets the requested target, otherwise
   it falls back to the reference route.
 
-On the nodes of whole unit cells ``z_many`` factors the Dirichlet sum of
-either route over a lattice of cells and offsets (``_lattice_sum``), with
-a term count per cell: N_m = max(50, floor(0.6 (m + 1)) + 1) for the
-reference route, floor(sqrt(m/2pi)) for the RS main sum.  Partial spans,
-cells that straddle ``rs_min_t`` and ``z_eval`` take N per point.
+Every Z point takes the Dirichlet sum of its route from one kernel,
+``_lattice_sum``, over a lattice of cells and offsets with a term count
+per cell.  The nodes m + c_k of a whole unit cell [m, m+1] share it with
+their cell, N_m = max(50, floor(0.6 (m + 1)) + 1) for the reference route
+and floor(sqrt(m/2pi)) for the RS main sum; any other point t (a partial
+span, a probe, a cell that straddles ``rs_min_t``, ``z_eval``) is a cell
+of its own, offset 0, with N(t) = max(50, floor(0.6 t) + 1) or
+floor(sqrt(t/2pi)).
 
-The RS truncation envelope ``RS_TRUNC_C * t^(-11/4)`` (t >= 25) is
-empirical, not a proved bound: against mpmath at 150 points on [25, 1e6]
-the worst error/envelope was 0.25 (tools/make_rs_tables.py gives the table
-provenance).  Every envelope includes an explicit phase-roundoff term since
-the oscillation arguments grow like t*ln(t).
+The RS truncation envelope ``RS_TRUNC_C * t^(-11/4)`` is empirical, not a
+proved bound, calibrated on [T_SWITCH, 1e6]: against mpmath the worst
+error/envelope was 0.25 at 150 points on [25, 1e6] and 0.26 at 201 seeded
+points on [10, 25] (tools/make_rs_tables.py gives the table provenance).
+Every envelope includes an explicit phase-roundoff term since the
+oscillation arguments grow like t*ln(t).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ RS_TRUNC_C = 0.05  # empirical, see the module docstring
 _EM_M = 14  # Euler-Maclaurin correction terms of the reference route
 
 _MIN_TARGET = 1e-12
+_ONE_NODE = np.zeros(1)  # the offsets of a point evaluated as a cell of its own
 
 
 @dataclass(frozen=True)
@@ -151,20 +156,16 @@ def _bernoulli_even():
     return tuple(float(b[2 * k]) for k in range(18))
 
 
-def _zeta_em_block(ts: np.ndarray, n_terms, m_terms: int, head=None):
+def _zeta_em_block(ts: np.ndarray, n_terms, m_terms: int, head):
     """Euler-Maclaurin zeta(1/2+it) for a block of t.
 
-    N is ``n_terms``: one int for the block, or an int array with one N per
-    point.  ``head`` is the Dirichlet part sum_{n<N} n^-s when the caller
-    has it (the cell lattice); otherwise it is summed here with the one N.
-    Returns (values, remainder_bounds, roundoff_envelopes) with per-point
-    bound arrays; the remainder bound is the classical one: first omitted
-    term times |s+2M+1|/(sigma+2M+1).
+    N is ``n_terms``, one per point, and ``head`` the Dirichlet part
+    sum_{n<N} n^-s from ``_lattice_sum``.  Returns (values,
+    remainder_bounds, roundoff_envelopes) with per-point bound arrays; the
+    remainder bound is the classical one: first omitted term times
+    |s+2M+1|/(sigma+2M+1).
     """
     s = 0.5 + 1j * ts
-    if head is None:
-        logn = np.log(np.arange(1, n_terms, dtype=np.float64))
-        head = np.exp(-s[:, None] * logn[None, :]).sum(axis=1)
     n = np.asarray(n_terms, dtype=np.float64)
     n_pow = np.exp(-s * _log_n(n))  # N^-s
     val = head + n * n_pow / (s - 1.0) + 0.5 * n_pow
@@ -214,35 +215,14 @@ def _em_terms(ts: np.ndarray) -> np.ndarray:  # N of the reference route
     return np.maximum(50, np.floor(0.6 * ts).astype(np.int64) + 1)
 
 
-def _z_reference(ts: np.ndarray):
-    """Reference-route Z over an ascending array: (values, envelopes, N).
-
-    The Euler-Maclaurin term count N = max(50, floor(0.6 t) + 1), with
-    M = 14 correction terms, is a per-point function of t, so runs of
-    points sharing one N are evaluated together: a value never depends on
-    which neighbours happened to share its batch.  Memory is bounded by
-    chunking a run over points, at most 4e6 // N per block, never over
-    terms: each point is reduced over its full term range in one order.
+def _z_reference(ts, cells, offsets, n_cell):
+    """Reference-route Z at the nodes ts = cells[:, None] + offsets,
+    raveled: (values, envelopes).  Cell m takes the Euler-Maclaurin term
+    count N_m = ``n_cell``, with M = 14 correction terms: N(m + 1) for a
+    whole cell, at least the count of each of its nodes, and N(t) for a
+    point, a one-node cell.  N_m is a function of the cell alone, so a
+    value never depends on which neighbours shared its batch.
     """
-    n_arr = _em_terms(ts)
-    out = np.empty_like(ts)
-    env = np.empty_like(ts)
-    bounds = np.r_[np.flatnonzero(np.r_[True, np.diff(n_arr) != 0]), len(ts)]
-    for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        n = int(n_arr[i])
-        step = max(64, 4_000_000 // n)
-        for a in range(i, j, step):
-            b = min(a + step, j)
-            vals, rem, ro = _zeta_em_block(ts[a:b], n, _EM_M)
-            out[a:b], env[a:b] = _z_from_zeta(ts[a:b], vals, rem + ro)
-    return out, env, n_arr
-
-
-def _z_reference_lattice(ts, cells, offsets):
-    """Reference-route Z at the nodes ts = cells[:, None] + offsets, raveled,
-    of whole cells: (values, envelopes).  Cell m takes N_m = N(m + 1), the
-    count of its right edge and so at least that of each of its nodes."""
-    n_cell = _em_terms(cells + 1.0)
     vals, rem, ro = _zeta_em_block(ts, np.repeat(n_cell, len(offsets)), _EM_M,
                                    _lattice_sum(cells, offsets, n_cell - 1))
     return _z_from_zeta(ts, vals, rem + ro)
@@ -281,20 +261,6 @@ def _rs_corrections(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return corr
 
 
-def _add_cos_terms(ts, th, n_lo, n_hi, out) -> None:
-    """out += sum_{n_lo < n <= n_hi} cos(th - t ln n) / sqrt(n), pointwise.
-
-    n_lo and n_hi are nondecreasing along the block, so the points that take
-    term n form one slice; terms are added in ascending n.
-    """
-    ns = np.arange(int(n_lo[0]) + 1, int(n_hi[-1]) + 1)
-    starts = np.searchsorted(n_hi, ns, side="left").tolist()
-    stops = np.searchsorted(n_lo, ns, side="left").tolist()
-    for n, i0, i1 in zip(ns.tolist(), starts, stops):
-        if i0 < i1:
-            out[i0:i1] += np.cos(th[i0:i1] - ts[i0:i1] * math.log(n)) / math.sqrt(n)
-
-
 # rows of the (terms x cells) phase table built at once: 256 KB for a
 # 256-cell block, where the reference route's whole table would take 1.7 MB
 _TABLE_ROWS = 64
@@ -302,13 +268,14 @@ _TABLE_ROWS = 64
 
 def _lattice_sum(cells, offsets, n_cell):
     """S_m(c_k) = sum_{n <= K_m} n^(-1/2) e^(-i (m + c_k) ln n) at the nodes
-    m + c_k of whole cells m in ``cells`` (ascending), offsets c_k in
+    m + c_k of the cells m in ``cells`` (ascending), offsets c_k in
     ``offsets``, with the per-cell counts K_m = ``n_cell`` nondecreasing;
-    returns the sums raveled, cell by cell.
+    returns the sums raveled, cell by cell.  The cells are whole cells with
+    their quadrature offsets, or points as one-node cells, offsets [0.0].
 
     n^(-1/2) e^(-i t ln n) = [n^(-1/2) e^(-i m ln n)] e^(-i c_k ln n): a
     (cells x K) and an (offsets x K) phase table replace the
-    cells * offsets * K exponentials of the pointwise sum.  The terms are
+    cells * offsets * K exponentials of a sum per node.  The terms are
     accumulated by elementwise complex multiply-adds in ascending n, no BLAS
     product, so a node's bits do not depend on the cells beside it as long
     as each K_m is a function of the cell m alone, never of its block.
@@ -318,51 +285,48 @@ def _lattice_sum(cells, offsets, n_cell):
     m ln n carries the roundings of ln n and of the product, each at most
     (eps/2) m ln n, and the node's rounding adds
     |fl(m + c_k) - (m + c_k)| ln n <= (eps/2) t ln n: at most
-    (3/2) eps t ln n, as for the pointwise phase t ln n, which is what each
-    route's roundoff envelope charges per term; the offset phases c_k ln n
-    and the complex products add O(eps) relative per term.
+    (3/2) eps t ln n, which is what each route's roundoff envelope charges
+    per term; the offset phases c_k ln n and the complex products add O(eps)
+    relative per term.  A one-node cell has m = t and e^(-i 0 ln n) = 1
+    exactly, so its terms are those of the sum at t.
     """
     n_max = int(n_cell[-1])
     logs = np.array([math.log(n) for n in range(1, n_max + 1)])
     inv_root = 1.0 / np.sqrt(np.arange(1.0, n_max + 1.0))
     off_f = np.exp(-1j * (logs[:, None] * offsets[None, :]))
+    # term n goes to the cells from starts[n - 1] on, those with K_m >= n
+    starts = np.searchsorted(n_cell, np.arange(1, n_max + 1), side="left").tolist()
     acc = np.zeros((len(cells), len(offsets)), dtype=np.complex128)
-    for n in range(1, n_max + 1):
+    for n, i0 in enumerate(starts, start=1):
         j = (n - 1) % _TABLE_ROWS
         if j == 0:  # the cell table's next rows, n .. n + _TABLE_ROWS - 1
             rows = slice(n - 1, n - 1 + _TABLE_ROWS)
             cell_f = np.exp(-1j * (logs[rows, None] * cells[None, :])) * inv_root[rows, None]
-        i0 = int(np.searchsorted(n_cell, n, side="left"))
         acc[i0:] += cell_f[j, i0:, None] * off_f[n - 1]
     return acc.ravel()
 
 
-def _z_rs_block(ts: np.ndarray, lattice=None):
-    """RS evaluation for an ascending block of t >= 2*TWO_PI.
+def _z_rs_block(ts, cells, offsets):
+    """RS evaluation at the nodes ts = cells[:, None] + offsets, raveled;
+    a point is a one-node cell, offset 0.  Its envelope is calibrated for
+    t in [T_SWITCH, 1e6] (module docstring).
 
-    Main-sum terms are added suffix-wise: N(t) is nondecreasing along the
-    block, so term n applies exactly to the suffix where N >= n.  With
-    ``lattice = (cells, offsets)`` the last len(cells) * len(offsets) points
-    are the whole-cell nodes cells[:, None] + offsets: their dense terms
-    n <= N_m = floor(sqrt(m/2pi)) come from ``_lattice_sum`` and the at most
-    one term more, for nodes past sqrt(t/2pi) = N_m + 1, is added pointwise.
-    The main sum is Re(e^(i theta) S), and n <= sqrt(t/2pi) gives
-    ln n < (ln t)/2, so the lattice phase error is within the eps t ln t per
-    term that ``rs_roundoff_env`` charges.
+    The main sum is Re(e^(i theta) S) with the dense terms
+    n <= K_m = floor(sqrt(m/2pi)) from ``_lattice_sum``; a node of a whole
+    cell past sqrt(t/2pi) = K_m + 1 takes that one term more, and a point
+    takes none since its K is its own N(t).  n <= sqrt(t/2pi) gives
+    ln n < (ln t)/2, so the lattice phase error is within the eps t ln t
+    per term that ``rs_roundoff_env`` charges.
     """
     a = np.sqrt(ts / TWO_PI)
     n_of_t = np.floor(a).astype(np.int64)
     th = theta_many(ts)
-    total = np.zeros_like(ts)
-    n_lo = np.zeros_like(n_of_t)
-    if lattice is not None:
-        cells, offsets = lattice
-        j = len(ts) - len(cells) * len(offsets)
-        n_cell = np.floor(np.sqrt(cells / TWO_PI)).astype(np.int64)
-        sums = _lattice_sum(cells, offsets, n_cell)
-        total[j:] = np.cos(th[j:]) * sums.real - np.sin(th[j:]) * sums.imag
-        n_lo[j:] = np.repeat(n_cell, len(offsets))
-    _add_cos_terms(ts, th, n_lo, n_of_t, total)
+    n_cell = np.floor(np.sqrt(cells / TWO_PI)).astype(np.int64)
+    sums = _lattice_sum(cells, offsets, n_cell)
+    total = np.cos(th) * sums.real - np.sin(th) * sums.imag
+    extra = n_of_t > np.repeat(n_cell, len(offsets))
+    n = n_of_t[extra]
+    total[extra] += np.cos(th[extra] - ts[extra] * _log_n(n)) / np.sqrt(n)
     total *= 2.0
     p = a - n_of_t
     q = np.sqrt(TWO_PI / ts)
@@ -384,9 +348,9 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     above.  This is the integrand path used by the quadrature; envelopes are
     per-point certified absolute errors.  ``lattice = (cells, offsets)``
     says that ts is cells[:, None] + offsets, raveled: the nodes of whole
-    cells [m, m+1].  Each cell with every node on one route then takes the
-    factored Dirichlet sum of that route (``_lattice_sum``); a cell that
-    straddles a custom ``rs_min_t`` is evaluated pointwise.
+    cells [m, m+1], which share their cell's term count in the Dirichlet
+    sum (``_lattice_sum``).  Without it, and for the nodes of a cell that
+    straddles a custom ``rs_min_t``, each point is a one-node cell.
     """
     ts = as_float_array(ts)
     if len(ts) == 0:
@@ -401,20 +365,26 @@ def z_many(ts, z_config: ZConfig = DEFAULT_Z_CONFIG, lattice=None):
     out = np.empty_like(ts)
     env = np.empty_like(ts)
     split = int(np.searchsorted(ts, z_config.rs_min_t, side="left"))
-    # ts[:low] are the whole cells below rs_min_t, ts[high:] those above
+    # ts[:low] are the whole cells below rs_min_t, ts[high:] those above;
+    # ts[low:high] are one-node cells
     low, high = 0, len(ts)
     if lattice is not None:
         cells, offsets = lattice
         k = len(offsets)
         low, high = split // k * k, -(-split // k) * k
     if low:
-        out[:low], env[:low] = _z_reference_lattice(ts[:low], cells[:low // k],
-                                                    offsets)
+        whole = cells[:low // k]
+        out[:low], env[:low] = _z_reference(ts[:low], whole, offsets,
+                                            _em_terms(whole + 1.0))
     if low < split:
-        out[low:split], env[low:split], _ = _z_reference(ts[low:split])
-    if split < len(ts):
-        rs_lattice = (cells[high // k:], offsets) if high < len(ts) else None
-        out[split:], env[split:] = _z_rs_block(ts[split:], rs_lattice)
+        pts = ts[low:split]
+        out[low:split], env[low:split] = _z_reference(pts, pts, _ONE_NODE,
+                                                      _em_terms(pts))
+    if split < high:
+        pts = ts[split:high]
+        out[split:high], env[split:high] = _z_rs_block(pts, pts, _ONE_NODE)
+    if high < len(ts):
+        out[high:], env[high:] = _z_rs_block(ts[high:], cells[high // k:], offsets)
     return out, env
 
 
@@ -434,13 +404,14 @@ def z_eval(t: float, target_abs_err: float = 1e-9) -> ZSample:
     if t >= T_SWITCH:
         rs_env = float(rs_truncation_env(t) + rs_roundoff_env(t))
         if rs_env <= target_abs_err:
-            z, env = _z_rs_block(ts)
+            z, env = _z_rs_block(ts, ts, _ONE_NODE)
             n_main = int(math.sqrt(t / TWO_PI))
             return ZSample(t, float(z[0]), float(env[0]), n_main, "riemann_siegel")
     # the roundoff term, known before the O(t) sum, bounds the envelope below
-    env = _em_roundoff(ts, int(_em_terms(ts)[0]), _EM_M)
+    n = _em_terms(ts)
+    env = _em_roundoff(ts, n, _EM_M)
     if float(env[0]) <= target_abs_err:
-        z, env, n = _z_reference(ts)
+        z, env = _z_reference(ts, ts, _ONE_NODE, n)
     if float(env[0]) > target_abs_err:
         raise PrecisionUnreachable(
             f"no route certifies {target_abs_err:g} at t={t:g} "

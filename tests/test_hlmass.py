@@ -163,6 +163,34 @@ def test_lattice_nodes_within_envelope(monkeypatch, m0, count):
         assert not np.array_equal(z, direct)
 
 
+# partial spans: the reference route from t = 0 and below rs_min_t, a span
+# that crosses rs_min_t = 700, and RS at 1234 and just below 1e5
+_ONE_NODE_SPANS = [(0.0, 0.6), (300.0, 300.7), (650.2, 699.9), (699.5, 700.5),
+                   (1234.0, 1234.5), (99999.0, 99999.5)]
+
+
+@pytest.mark.parametrize("lo,hi", _ONE_NODE_SPANS)
+def test_one_node_spans_within_envelope(monkeypatch, lo, hi):
+    """Every node of a partial span, each a one-node cell, against mpmath's
+    Z at 25 digits: |Z - Z_mp| <= envelope."""
+    mpmath = pytest.importorskip("mpmath")
+    calls = []
+    z_many = zfun.z_many
+
+    def recording(ts, z_config=zfun.DEFAULT_Z_CONFIG, lattice=None):
+        calls.append((ts, lattice))
+        return z_many(ts, z_config, lattice=lattice)
+    monkeypatch.setattr(zfun, "z_many", recording)
+    hlmass._span_masses((lo, hi))
+    assert len(calls) == 1 and calls[0][1] is None
+    ts = calls[0][0]
+    with mpmath.workdps(25):
+        ref = np.array([float(mpmath.siegelz(t)) for t in ts.tolist()])
+    z, env = z_many(ts)
+    err = np.abs(z - ref)
+    assert np.all(err <= env), float(np.max(err / env))
+
+
 @pytest.mark.parametrize("jobs", [0, -3, 2.0, True])
 def test_jobs_must_be_a_positive_int(quad_cfg, jobs):
     ck = hlmass.new_checkpoint(quad_cfg)
@@ -250,6 +278,8 @@ def _edit_header(lines, edit):
     (lambda L: _edit_header(L, lambda h: h.update(tol=math.nan)), "tol NaN"),
     (lambda L: _edit_header(L, lambda h: h.update(tol=0.0)), "tol 0"),
     (lambda L: _edit_header(L, lambda h: h.update(tol=-1.0)), "tol -1"),
+    (lambda L: _edit_header(L, lambda h: h.update(tol="1e-9")), 'tol "1e-9"'),
+    (lambda L: _edit_header(L, lambda h: h.update(tol=True)), "tol true"),
     (lambda L: _edit_header(L, lambda h: h["z_config"].pop("rs_min_t")),
      "z_config missing key"),
     (lambda L: _edit_header(L, lambda h: h["z_config"].update(foo=1)),

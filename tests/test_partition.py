@@ -289,15 +289,29 @@ def test_planck_sequence_exact_quanta():
     assert {gap for _, gap in walk} == {walk[0][1]}
 
 
+# planck_sequence(10002, 1e5) offsets when Z(T0) took the pointwise RS sum
+PLANCK_PINS_POINTWISE = {1: "0x1.2d0aeacd38a83p-91", 3: "0x1.c3906033d4fc4p-90",
+                         12345: "0x1.c5a89ba612893p-78",
+                         65537: "0x1.2d0c17d823757p-75",
+                         99999: "0x1.cb599b7c79c67p-75"}
+
+
 def test_planck_offsets_are_products():
     steps = partition.planck_sequence(10002.0, 10 ** 5)
     gap = steps[0][1]
     assert all(o == k * gap for k, (o, _) in enumerate(steps))
-    pinned = {1: "0x1.2d0aeacd38a83p-91", 3: "0x1.c3906033d4fc4p-90",
-              12345: "0x1.c5a89ba612893p-78", 65537: "0x1.2d0c17d823757p-75",
-              99999: "0x1.cb599b7c79c67p-75"}
+    pinned = {1: "0x1.2d0aeacd3b0e0p-91", 3: "0x1.c3906033d8950p-90",
+              12345: "0x1.c5a89ba616263p-78", 65537: "0x1.2d0c17d825db4p-75",
+              99999: "0x1.cb599b7c7d6f0p-75"}
     for k, bits in pinned.items():
         assert steps[k][0].hex() == bits, k
+    # the pins before z_eval took its RS main sum as a one-node cell are
+    # within twice z_eval's relative envelope
+    z = zfun.z_eval(10002.0, target_abs_err=1e-9)
+    r = z.abs_err / abs(z.z)
+    bound = 2.0 * r + r * r + 8.0 * zfun.EPS
+    for k, old in PLANCK_PINS_POINTWISE.items():
+        assert abs(float.fromhex(old) - steps[k][0]) <= bound * steps[k][0], k
 
 
 def test_planck_gaps_against_mpmath():

@@ -135,26 +135,41 @@ def test_z_eval_reference_route_is_z_many(t):
 def test_em_remainder_far_below_the_envelope():
     """At the reference route's term counts the Euler-Maclaurin remainder
     bound stays below 1e-14 up to t = 1e5, so that route never needs more
-    terms than its rule gives."""
+    terms than its rule gives.  The bound does not depend on the Dirichlet
+    head, so the head is left at 0."""
     ts = np.array([0.0, 10.0, 700.0, 1e4, 1e5])
-    _, _, n_terms = zfun._z_reference(ts)
-    for t, n in zip(ts, n_terms):
-        _, rem, _ = zfun._zeta_em_block(np.array([t]), int(n), 14)
-        assert rem[0] < 1e-14, t
+    _, rem, _ = zfun._zeta_em_block(ts, zfun._em_terms(ts), 14, 0.0)
+    for t, r in zip(ts, rem):
+        assert r < 1e-14, t
 
 
 def test_em_chunked_run_matches_slices():
-    """One N = 361 run of 12,000 points is evaluated in chunks of 11,080 and
-    920 points; its bits equal those of 1,000-point slices."""
+    """A 12,000-point run of one N = 361 is one batch of one-node cells; its
+    bits equal those of 1,000-point slices."""
     ts = np.linspace(600.0, 601.6, 12000)
     z, env = zfun.z_many(ts)
     parts = [zfun.z_many(ts[i:i + 1000]) for i in range(0, len(ts), 1000)]
     assert np.array_equal(np.concatenate([p[0] for p in parts]), z)
     assert np.array_equal(np.concatenate([p[1] for p in parts]), env)
-    pinned = {0: "0x1.55f655ff24e03p+1", 11079: "0x1.fb50c8cf70a67p-2",
-              11080: "0x1.fab8dd59f33fdp-2", 11999: "0x1.f2fdc0caf424bp-8"}
+    pinned = {0: "0x1.55f655ff24e07p+1", 11079: "0x1.fb50c8cf70a78p-2",
+              11080: "0x1.fab8dd59f33fap-2", 11999: "0x1.f2fdc0caf423ep-8"}
     for i, bits in pinned.items():
         assert float(z[i]).hex() == bits, i
+
+
+def test_rs_below_25_within_envelope():
+    """z_eval hands loose targets to RS from T_SWITCH = 10 up: at a target
+    of 1e-2 every seeded point of [10, 25] takes RS and lies within its
+    envelope of mpmath's Z at 25 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2025)
+    ts = np.r_[zfun.T_SWITCH, np.sort(rng.uniform(zfun.T_SWITCH, 25.0, 199)), 25.0]
+    with mpmath.workdps(25):
+        ref = [float(mpmath.siegelz(t)) for t in ts.tolist()]
+    for t, z_mp in zip(ts.tolist(), ref):
+        s = zfun.z_eval(t, target_abs_err=1e-2)
+        assert s.method == "riemann_siegel", t
+        assert abs(s.z - z_mp) <= s.abs_err, t
 
 
 def test_rs_corrections_by_parity():
@@ -182,6 +197,7 @@ def test_z_eval_precision_unreachable(monkeypatch):
     the O(t) Euler-Maclaurin sum is allocated: about 27 GB at t = 1e9."""
     def refuse(*args):
         raise AssertionError("the Euler-Maclaurin sum was evaluated")
+    monkeypatch.setattr(zfun, "_lattice_sum", refuse)
     monkeypatch.setattr(zfun, "_zeta_em_block", refuse)
     for t, target in ((50000.0, 1e-12), (1e9, 1e-9)):
         with pytest.raises(PrecisionUnreachable):

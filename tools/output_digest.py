@@ -29,8 +29,12 @@ COMMANDS = [
     # Riemann-Siegel at 640
     ("z_620.txt", ["z", "--t", "620"]),
     ("z_640.txt", ["z", "--t", "640"]),
+    # Riemann-Siegel below t = 25, where z_eval takes it for loose targets
+    ("z_11_rs.txt", ["z", "--t", "11", "--tol", "1e-3"]),
     ("theta_5.txt", ["theta", "--t", "5"]),
     ("theta_100.json", ["theta", "--t", "100", "--format", "json"]),
+    # a partial cell on the reference route, with no checkpoint
+    ("mass_402.5.txt", ["mass", "--t", "402.5"]),
     ("mass_1000.txt", ["mass", "--t", "1000", "--checkpoint", "mass.ckpt"]),
     ("mass_1500.5.json", ["mass", "--t", "1500.5", "--checkpoint", "mass.ckpt",
                           "--format", "json"]),
